@@ -39,7 +39,7 @@ from .finite import (
 )
 from .rates import ProblemShape, psi_max, psi_min, shannon_entropy
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticBound",

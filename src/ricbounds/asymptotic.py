@@ -56,6 +56,12 @@ _LAMBDA_CEILING = 1e9
 # ln(lambda^min) scales like -c/(1-gamma) near gamma = 1, so the bracket
 # floor has to sit far below anything float-representable as lambda itself.
 _LOG_FLOOR = -1e12
+# The optimal gamma can sit within 1e-34 of rho, far below what a search
+# on gamma resolves, so the BT searches run on u = ln(gamma - rho) down to
+# this floor and carry u out: gamma = rho + e^u loses it below one ulp of rho.
+_LOG_OFFSET_FLOOR = -690.0
+# Step cap of the bracket-narrowing loop in _root.
+_ROOT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -100,18 +106,12 @@ class GammaOptimum:
     """Result of a gamma search: the chosen gamma, the lambda value there
     (lambda^max, or ln lambda^min on the lower side), whether gamma sits on
     the edge of its interval, and log_offset = ln(gamma - rho).
-
-    Unpacks as the (gamma, value, at_boundary) triple; log_offset is read
-    by attribute.
     """
 
     gamma: float
     value: float
     at_boundary: bool
     log_offset: float
-
-    def __iter__(self):
-        return iter((self.gamma, self.value, self.at_boundary))
 
 
 def _validate_point(delta: float, rho: float) -> None:
@@ -121,40 +121,71 @@ def _validate_point(delta: float, rho: float) -> None:
         raise DomainError(f"rho must be in (0,1), got {rho}")
 
 
+def _root(f, a, b, tol, limit, fa):
+    """Bracket and narrow a sign change of f, starting from fa = f(a) > 0.
+
+    b is the first probe on the far side of a.  While f(b) > 0 the bracket
+    moves on, doubling its step each time and stopping at limit; no sign
+    change there raises SolverError.  Regula falsi with the Illinois step
+    (halve the stale end's value when one end is kept twice), falling back
+    to the midpoint, then narrows the bracket until |b - a| <= tol or the
+    ends are adjacent doubles.  Returns (a, b) with f(a) > 0 >= f(b); b may
+    lie on either side of a.
+    """
+    if not fa > 0.0:
+        raise SolverError(f"root search needs f > 0 at its start {a!r}, got {fa!r}")
+    fb = f(b)
+    while fb > 0.0:
+        if b == limit:
+            raise SolverError(f"no sign change between {a!r} and the limit {limit!r}")
+        a, fa, b = b, fb, b + 2.0 * (b - a)
+        b = min(b, limit) if limit > a else max(b, limit)
+        fb = f(b)
+    kept = None
+    for _ in range(_ROOT_STEPS):
+        if abs(b - a) <= tol:
+            return a, b
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+            if c == a or c == b:
+                return a, b
+        fc = f(c)
+        if fc > 0.0:
+            if kept == "b":
+                fb *= 0.5
+            a, fa, kept = c, fc, "b"
+        else:
+            if kept == "a":
+                fa *= 0.5
+            b, fb, kept = c, fc, "a"
+    raise SolverError(f"root search left [{a!r}, {b!r}] wider than {tol:g}")
+
+
 def solve_lambda_max(delta: float, rho: float, gamma: float) -> float:
     """Root lambda >= 1 + gamma of the net upper-tail exponent.
 
     The exponent is positive at lambda = 1 + gamma and strictly decreasing
-    beyond it, so the root is bracketed by doubling and pinned by bisection.
+    beyond it.  The search stops within 1e-15 (1 + gamma), which is at most
+    1e-15 relative to the root.
     """
     _validate_point(delta, rho)
     if not (rho <= gamma <= 1.0 / delta):
         raise DomainError(f"gamma={gamma} outside [rho, 1/delta]")
 
-    lo = 1.0 + gamma
-    f_lo = _net_max_raw(lo, delta, rho, gamma)
-    if f_lo < 0.0:
+    def f(lam):
+        return _net_max_raw(lam, delta, rho, gamma)
+
+    foot = 1.0 + gamma
+    f_foot = f(foot)
+    if f_foot < 0.0:
         raise SolverError(
             f"net exponent negative at lambda=1+gamma for "
             f"(delta={delta}, rho={rho}, gamma={gamma})"
         )
-    hi = 2.0 * lo
-    while _net_max_raw(hi, delta, rho, gamma) > 0.0:
-        hi *= 2.0
-        if hi > _LAMBDA_CEILING:
-            raise SolverError(f"lambda^max bracket exceeded {_LAMBDA_CEILING:g}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _net_max_raw(mid, delta, rho, gamma) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    root = 0.5 * (lo + hi)
-    if abs(_net_max_raw(root, delta, rho, gamma)) > RESIDUAL_TOL:
+    a, b = _root(f, foot, 2.0 * foot, 1e-15 * foot, _LAMBDA_CEILING, f_foot)
+    root = 0.5 * (a + b)
+    if abs(f(root)) > RESIDUAL_TOL:
         raise SolverError(
             f"lambda^max residual above {RESIDUAL_TOL:g} at "
             f"(delta={delta}, rho={rho}, gamma={gamma})"
@@ -167,38 +198,26 @@ def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
 
     Returned as ln(lambda): the root itself underflows double precision for
     extreme (delta, rho).  The exponent is increasing on (0, 1 - gamma),
-    negative near 0 and positive at 1 - gamma, so bisection runs on
-    ln(lambda).
+    negative near 0 and positive at 1 - gamma, so the search runs on
+    ln(lambda), to 1e-13 absolute.
     """
     _validate_point(delta, rho)
     if not (rho <= gamma < 1.0):
         raise DomainError(f"gamma={gamma} outside [rho, 1) for the lower bound")
 
-    hi = math.log1p(-gamma)
-    if _net_min_log_lambda(hi, delta, rho, gamma) < 0.0:
+    def f(log_lam):
+        return _net_min_log_lambda(log_lam, delta, rho, gamma)
+
+    foot = math.log1p(-gamma)
+    f_foot = f(foot)
+    if f_foot < 0.0:
         raise SolverError(
             f"net exponent negative at lambda=1-gamma for "
             f"(delta={delta}, rho={rho}, gamma={gamma})"
         )
-    step = 2.0
-    lo = hi - step
-    while _net_min_log_lambda(lo, delta, rho, gamma) > 0.0:
-        step *= 2.0
-        lo = hi - step
-        if lo < _LOG_FLOOR:
-            raise SolverError("lambda^min bracket ran past the log floor")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _net_min_log_lambda(mid, delta, rho, gamma) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13:
-            break
-    root = 0.5 * (lo + hi)
-    if abs(_net_min_log_lambda(root, delta, rho, gamma)) > RESIDUAL_TOL:
+    a, b = _root(f, foot, foot - 2.0, 1e-13, _LOG_FLOOR, f_foot)
+    root = 0.5 * (a + b)
+    if abs(f(root)) > RESIDUAL_TOL:
         raise SolverError(
             f"lambda^min residual above {RESIDUAL_TOL:g} at "
             f"(delta={delta}, rho={rho}, gamma={gamma})"
@@ -263,45 +282,25 @@ def stationarity_residual(b: AsymptoticBound, side: str) -> float | None:
     raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
-def _bisect_log_offset(sign_fn, u_hi: float, positive_at_hi: bool) -> float:
-    """Bisection of a monotone sign function over u = ln(gamma - rho).
-
-    The optimal gamma can sit within 1e-34 of rho, far below what a direct
-    search on gamma resolves, so the offset is searched on a log scale and
-    returned as u: gamma = rho + e^u loses it below one ulp of rho.
-    positive_at_hi states which sign the function takes at u_hi.
-    """
-    u_lo = -690.0
-    if (sign_fn(u_lo) > 0.0) == positive_at_hi:
-        raise SolverError("stationarity condition has no sign change in gamma")
-    for _ in range(200):
-        mid = 0.5 * (u_lo + u_hi)
-        if (sign_fn(mid) > 0.0) == positive_at_hi:
-            u_hi = mid
-        else:
-            u_lo = mid
-        if u_hi - u_lo <= GAMMA_TOL * 1e-2:
-            break
-    return 0.5 * (u_lo + u_hi)
-
-
 def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
     """Minimizing gamma for the upper bound over [rho, 1/delta].
 
-    Returns (gamma, lambda_max, at_boundary) with log_offset.  The interior
-    optimum solves lambda^max (gamma-rho)^2 = gamma^3; when that condition
-    stays negative up to gamma = 1/delta the minimum sits on the boundary.
+    The interior optimum solves lambda^max (gamma-rho)^2 = gamma^3; when
+    that condition stays negative up to gamma = 1/delta the minimum sits
+    on the boundary.
     """
     _validate_point(delta, rho)
     g_hi = 1.0 / delta
     u_hi = math.log(g_hi - rho)
-    if _stationarity_max(delta, rho, u_hi) < 0.0:
+
+    def f(u):
+        return _stationarity_max(delta, rho, u)
+
+    f_hi = f(u_hi)
+    if f_hi < 0.0:
         return GammaOptimum(g_hi, solve_lambda_max(delta, rho, g_hi), True, u_hi)
-    u = _bisect_log_offset(
-        lambda u: _stationarity_max(delta, rho, u),
-        u_hi,
-        positive_at_hi=True,
-    )
+    a, b = _root(f, u_hi, u_hi - 1.0, GAMMA_TOL * 1e-2, _LOG_OFFSET_FLOOR, f_hi)
+    u = 0.5 * (a + b)
     gamma = rho + math.exp(u)
     return GammaOptimum(gamma, solve_lambda_max(delta, rho, gamma), False, u)
 
@@ -309,8 +308,7 @@ def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
 def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
     """Minimizing gamma for the lower bound over [rho, 1).
 
-    Returns (gamma, log_lambda_min, at_boundary) with log_offset.  The
-    interior optimum solves gamma^3 lambda^min = (1-gamma)^2 (gamma-rho)^2;
+    The interior optimum solves gamma^3 lambda^min = (1-gamma)^2 (gamma-rho)^2;
     the open right end of the interval is approached through a fixed guard.
     """
     _validate_point(delta, rho)
@@ -318,13 +316,15 @@ def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
     if g_cap <= rho:
         return GammaOptimum(rho, solve_lambda_min(delta, rho, rho), True, -math.inf)
     u_cap = math.log(g_cap - rho)
-    if _stationarity_min(delta, rho, u_cap) > 0.0:
+
+    def f(u):
+        return -_stationarity_min(delta, rho, u)
+
+    f_cap = f(u_cap)
+    if f_cap < 0.0:
         return GammaOptimum(g_cap, solve_lambda_min(delta, rho, g_cap), True, u_cap)
-    u = _bisect_log_offset(
-        lambda u: _stationarity_min(delta, rho, u),
-        u_cap,
-        positive_at_hi=False,
-    )
+    a, b = _root(f, u_cap, u_cap - 1.0, GAMMA_TOL * 1e-2, _LOG_OFFSET_FLOOR, f_cap)
+    u = 0.5 * (a + b)
     gamma = rho + math.exp(u)
     return GammaOptimum(gamma, solve_lambda_min(delta, rho, gamma), False, u)
 
@@ -460,38 +460,25 @@ def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
     """Largest rho where max(L, U) < sqrt(2) - 1 under the given family.
 
-    Bisection to 1e-8 absolute in rho.  Monotone feasibility in rho is
-    assumed for the search and spot-checked at fractions of the returned
-    value.  Returns 0.0 when even the smallest probed rho fails the
-    condition.
+    Root search on the margin (sqrt(2) - 1) - max(L, U) in rho, to 1e-8
+    absolute; the feasible end of the final bracket is returned.  Monotone
+    feasibility in rho is assumed for the search and spot-checked at
+    fractions of the returned value.  Returns 0.0 when even the smallest
+    probed rho fails the condition.
     """
     _validate_point(delta, 0.5)
 
-    def feasible(rho: float) -> bool:
+    def margin(rho: float) -> float:
         b = compute_bounds(family, delta, rho)
-        return max(b.L, b.U) < L1_THRESHOLD
+        return L1_THRESHOLD - max(b.L, b.U)
 
     lo = 1e-7
-    if not feasible(lo):
+    m_lo = margin(lo)
+    if not m_lo > 0.0:
         return 0.0
-    hi = 2e-3
-    while feasible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi >= 1.0:
-            hi = 1.0 - 1e-12
-            if feasible(hi):
-                return hi
-            break
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    rho_star = lo
+    rho_star, _ = _root(margin, lo, 2e-3, 1e-8, 1.0 - 1e-12, m_lo)
     for frac in (0.25, 0.5, 0.9):
-        if not feasible(frac * rho_star):
+        if not margin(frac * rho_star) > 0.0:
             raise SolverError(
                 f"feasibility not monotone below rho*={rho_star} at delta={delta}"
             )

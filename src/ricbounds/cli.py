@@ -21,13 +21,12 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
 
 from . import asymptotic, covering, empirical, finite
-from .errors import DomainError, GuardError, IOFailure, RicBoundsError, SolverError
+from .errors import DomainError, IOFailure, RicBoundsError
 from .svgfig import curve_svg, heatmap_svg
 
 SCHEMA_VERSION = "1"
@@ -102,13 +101,12 @@ def _emit(ctx, command: str, params: dict, results, *, csv_text=None, svg_text=N
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON envelope instead of text.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output to a file.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Root RNG seed.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for sweeps.")
 @click.option(
     "--format", "fmt", type=click.Choice(["csv", "json", "svg"]), default="csv",
     show_default=True, help="Artifact format for tabular commands.",
 )
 @click.pass_context
-def cli(ctx, as_json, out, seed, threads, fmt):
+def cli(ctx, as_json, out, seed, fmt):
     """Probabilistic bounds on restricted isometry constants of Gaussian
     matrices: asymptotic bound families, finite-size tail probabilities,
     empirical estimates, covering simulations, and recovery phase curves."""
@@ -116,7 +114,6 @@ def cli(ctx, as_json, out, seed, threads, fmt):
         "json": as_json,
         "out": out,
         "seed": seed,
-        "threads": max(1, threads),
         "format": fmt,
         "t0": time.monotonic(),
     }
@@ -200,10 +197,7 @@ def grid(ctx, delta_min, delta_max, delta_steps, rho_min, rho_max, rho_steps, fa
     deltas = _linspace(delta_min, delta_max, delta_steps)
     rhos = _linspace(rho_min, rho_max, rho_steps)
     points = [(f, d, r) for f in fams for d in deltas for r in rhos]
-    with ThreadPoolExecutor(max_workers=ctx.obj["threads"]) as pool:
-        bounds_list = list(
-            pool.map(lambda p: asymptotic.compute_bounds(p[0], p[1], p[2]), points)
-        )
+    bounds_list = [asymptotic.compute_bounds(f, d, r) for f, d, r in points]
     rows = [
         {c: rec.get(c) for c in GRID_COLUMNS}
         for rec in map(_bound_record, bounds_list)
@@ -305,8 +299,7 @@ def empirical_cmd(ctx, n_rows, sizes, k_frac, k_fixed, restarts):
             row["error"] = str(exc)
         return row
 
-    with ThreadPoolExecutor(max_workers=ctx.obj["threads"]) as pool:
-        rows = list(pool.map(run_cell, n_list))
+    rows = [run_cell(N) for N in n_list]
     params = {"n": n_rows, "sizes": n_list, "k": k, "restarts": restarts}
     _emit(ctx, "empirical", params, rows,
           csv_text=_rows_to_csv(rows, EMPIRICAL_COLUMNS))
@@ -327,8 +320,7 @@ def phase_cmd(ctx, delta_steps, delta_min, delta_max, families):
     fams = _parse_families(families)
     deltas = _linspace(delta_min, delta_max, delta_steps)
     points = [(f, d) for f in fams for d in deltas]
-    with ThreadPoolExecutor(max_workers=ctx.obj["threads"]) as pool:
-        stars = list(pool.map(lambda p: asymptotic.l1_phase_transition(p[1], p[0]), points))
+    stars = [asymptotic.l1_phase_transition(d, f) for f, d in points]
     rows = [
         {"delta": d, "family": f, "rho_star": s}
         for (f, d), s in zip(points, stars)
@@ -362,8 +354,7 @@ def cover_cmd(ctx, n_universe, k, m, u, trials, details):
         covered, uncovered = covering.random_cover(plan)
         return plan, covered, uncovered
 
-    with ThreadPoolExecutor(max_workers=ctx.obj["threads"]) as pool:
-        outcomes = list(pool.map(run_trial, trial_seeds))
+    outcomes = [run_trial(ts) for ts in trial_seeds]
     plan0 = outcomes[0][0]
     failures = sum(1 for _, covered, _ in outcomes if not covered)
     cb = covering.covering_bound(covering.CoveringPlan(N=n_universe, k=k, m=m, seed=0))
@@ -404,16 +395,10 @@ def main(argv=None):
         sys.exit(exc.exit_code)
     except click.exceptions.Abort:
         sys.exit(1)
-    except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(2)
-    except SolverError as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(3)
-    except GuardError as exc:
-        click.echo(f"guard refusal: {exc}", err=True)
-        sys.exit(4)
-    except (IOFailure, OSError) as exc:
+    except RicBoundsError as exc:
+        click.echo(f"{type(exc).__name__}: {exc}", err=True)
+        sys.exit(exc.exit_code)
+    except OSError as exc:
         click.echo(f"i/o failure: {exc}", err=True)
         sys.exit(5)
     return 0

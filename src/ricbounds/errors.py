@@ -23,14 +23,6 @@ class SolverError(RicBoundsError, RuntimeError):
     exit_code = 3
 
 
-class ConstraintViolation(SolverError):
-    """A root exists only outside the equation's side constraint.
-
-    Raised when the net exponent is already negative at the bracket foot,
-    i.e. the requested (delta, rho, gamma) lies outside the valid region.
-    """
-
-
 class GuardError(RicBoundsError, RuntimeError):
     """A combinatorial guard refused the computation (exit code 4)."""
 

@@ -177,16 +177,22 @@ def covering_failure_bound(k: int, N: int) -> float:
     return math.exp(log_v) if log_v > -745.0 else 0.0
 
 
-def _sqrt_factor_log(inst: FiniteInstance, gamma: float) -> float:
-    """Log of (n N (gamma - rho) / (gamma delta (1 - rho delta)))^(1/2)."""
+def _sqrt_factor_log(inst: FiniteInstance, gamma: float, log_offset: float) -> float:
+    """Log of (n N (gamma - rho) / (gamma delta (1 - rho delta)))^(1/2).
+
+    log_offset = ln(gamma - rho) as the gamma search carried it: gamma - rho
+    recomputed from gamma rounds to 0.0 where the optimum sits within one
+    ulp of rho.
+    """
     delta, rho = inst.delta_n, inst.rho_n
-    diff = gamma - rho
-    if diff <= 0.0:
+    if log_offset == -math.inf:
         raise DomainError(
             f"degenerate group ratio gamma={gamma} equals rho={rho}; "
             "the tail prefactor divides by gamma - rho"
         )
-    return 0.5 * math.log(inst.n * inst.N * diff / (gamma * delta * (1.0 - rho * delta)))
+    return 0.5 * (
+        math.log(inst.n * inst.N / (gamma * delta * (1.0 - rho * delta))) + log_offset
+    )
 
 
 def tail_prob_upper(inst: FiniteInstance) -> TailBound:
@@ -209,8 +215,9 @@ def tail_prob_upper(inst: FiniteInstance) -> TailBound:
     the form.
     """
     delta, rho = inst.delta_n, inst.rho_n
-    gamma, lam, _ = optimize_gamma_for_max(delta, rho)
-    sqrt_log = _sqrt_factor_log(inst, gamma)
+    opt = optimize_gamma_for_max(delta, rho)
+    gamma, lam = opt.gamma, opt.value
+    sqrt_log = _sqrt_factor_log(inst, gamma, opt.log_offset)
 
     # Polynomial prefactor in front of the exponential rate, proof form:
     # 2 lam (5/4)^3 sqrt-factor * (8/pi)^(1/2) gamma^(-1) n^(-7/2) lam^(-3/2).
@@ -253,8 +260,9 @@ def tail_prob_lower(inst: FiniteInstance) -> TailBound:
     psi_derivative stores the signed coefficient -psi' actually applied.
     """
     delta, rho = inst.delta_n, inst.rho_n
-    gamma, log_lam, _ = optimize_gamma_for_min(delta, rho)
-    sqrt_log = _sqrt_factor_log(inst, gamma)
+    opt = optimize_gamma_for_min(delta, rho)
+    gamma, log_lam = opt.gamma, opt.value
+    sqrt_log = _sqrt_factor_log(inst, gamma, opt.log_offset)
 
     # One published form only: (5/4)^3 e sqrt(lam) / (pi sqrt(2)) * sqrt-factor.
     log_pref = (

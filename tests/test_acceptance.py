@@ -115,7 +115,7 @@ def test_criterion_3_root_correctness(interior_grid):
     )
 
 
-# Bisection width of solve_lambda_min in ln(lambda): two lower bounds that
+# Stop width of solve_lambda_min in ln(lambda): two lower bounds that
 # differ by less than this are the same root to the solver's resolution.
 LOG_LAMBDA_MIN_WIDTH = 1e-13
 

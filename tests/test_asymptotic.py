@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricbounds import asymptotic
 from ricbounds.asymptotic import (
     L1_THRESHOLD,
+    _root,
     bct_bounds,
     bt_bounds,
     compute_bounds,
@@ -19,7 +21,7 @@ from ricbounds.asymptotic import (
     solve_lambda_min,
     stationarity_residual,
 )
-from ricbounds.errors import DomainError
+from ricbounds.errors import DomainError, SolverError
 from ricbounds.rates import _net_max_raw, _net_min_log_lambda, shannon_entropy
 
 mpmath.mp.dps = 40
@@ -70,10 +72,68 @@ class TestLambdaSolvers:
             solve_lambda_min(0.5, 0.5, 1.0)
 
 
+class TestRoot:
+    @staticmethod
+    def root(f, a, b, tol, limit):
+        return _root(f, a, b, tol, limit, f(a))
+
+    def test_increasing_and_decreasing_roots(self):
+        a, b = self.root(lambda x: 2.0 - x, 0.0, 1.0, 1e-12, 100.0)
+        assert a < 2.0 <= b and b - a <= 1e-12
+        a, b = self.root(lambda x: x * x - 2.25, 3.0, 2.5, 1e-12, 0.0)
+        assert b <= 1.5 < a and a - b <= 1e-12
+
+    def test_expansion_to_the_right_and_left(self):
+        a, b = self.root(lambda x: 1e3 - x, 1.0, 2.0, 1e-9, 1e9)
+        assert a < 1e3 <= b
+        a, b = self.root(lambda x: x + 1e3, 0.0, -1.0, 1e-9, -1e9)
+        assert b <= -1e3 < a
+
+    def test_bracket_contract(self):
+        f = lambda x: math.exp(-x) - 0.25
+        for tol in (1e-3, 1e-8, 1e-13):
+            a, b = self.root(f, 0.0, 1.0, tol, 50.0)
+            assert f(a) > 0.0 >= f(b)
+            assert abs(b - a) <= tol
+
+    def test_limit_without_sign_change_raises(self):
+        with pytest.raises(SolverError, match="no sign change"):
+            self.root(lambda x: 1.0, 0.0, 1.0, 1e-12, 10.0)
+        with pytest.raises(SolverError, match="no sign change"):
+            self.root(lambda x: 1.0 + x, 0.0, -0.5, 1e-12, -0.9)
+
+    def test_start_must_be_positive(self):
+        with pytest.raises(SolverError, match="needs f > 0"):
+            self.root(lambda x: -1.0 - x, 0.0, 1.0, 1e-12, 10.0)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(asymptotic, "_ROOT_STEPS", 3)
+        with pytest.raises(SolverError, match="wider than"):
+            self.root(math.cos, 0.0, 3.0, 1e-14, 10.0)
+
+    def test_lambda_roots_take_few_evaluations(self, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(asymptotic, "_net_max_raw", counted(_net_max_raw))
+        monkeypatch.setattr(asymptotic, "_net_min_log_lambda", counted(_net_min_log_lambda))
+        for solve in (solve_lambda_max, solve_lambda_min):
+            calls[0] = 0
+            solve(0.5, 0.5, 0.7)
+            assert calls[0] <= 20
+
+
 class TestGammaOptimizers:
     def test_max_optimizer_improves_on_gamma_equals_rho(self):
         for d, r in [(0.1, 0.5), (0.3, 0.2), (0.7, 0.7)]:
-            g, lam, boundary = optimize_gamma_for_max(d, r)
+            opt = optimize_gamma_for_max(d, r)
+            g, lam, boundary = opt.gamma, opt.value, opt.at_boundary
             assert r < g <= 1.0 / d
             assert lam <= solve_lambda_max(d, r, r) + 1e-12
             if not boundary:
@@ -83,7 +143,8 @@ class TestGammaOptimizers:
 
     def test_min_optimizer_improves_on_gamma_equals_rho(self):
         for d, r in [(0.1, 0.5), (0.3, 0.2), (0.7, 0.7)]:
-            g, log_lam, boundary = optimize_gamma_for_min(d, r)
+            opt = optimize_gamma_for_min(d, r)
+            g, log_lam, boundary = opt.gamma, opt.value, opt.at_boundary
             assert r < g < 1.0
             assert log_lam >= solve_lambda_min(d, r, r) - 1e-10
             if not boundary:
@@ -98,7 +159,8 @@ class TestGammaOptimizers:
                 assert opt.log_offset == pytest.approx(math.log(opt.gamma - r), abs=1e-12)
 
     def test_offset_survives_where_gamma_rounds_onto_rho(self):
-        g, log_lam, boundary = opt = optimize_gamma_for_min(0.05, 0.95)
+        opt = optimize_gamma_for_min(0.05, 0.95)
+        g, log_lam, boundary = opt.gamma, opt.value, opt.at_boundary
         assert g == 0.95 and not boundary
         assert math.isfinite(opt.log_offset)
         # At offsets this small the first-order condition gives
@@ -130,7 +192,7 @@ class TestGammaOptimizers:
 
     def test_dense_scan_confirms_optimum(self):
         d, r = 0.1, 0.5
-        _, lam_opt, _ = optimize_gamma_for_max(d, r)
+        lam_opt = optimize_gamma_for_max(d, r).value
         scan = min(
             solve_lambda_max(d, r, r + (1.0 / d - r) * i / 400.0) for i in range(1, 401)
         )

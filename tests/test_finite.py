@@ -195,6 +195,16 @@ class TestTailBounds:
         assert math.isfinite(tb.log_lambda_star)
         assert tb.lambda_star == pytest.approx(math.exp(tb.log_lambda_star), rel=1e-12)
 
+    def test_lower_tail_finite_where_gamma_rounds_onto_rho(self):
+        # gamma - rho lies below one ulp of rho at these sizes; the prefactor
+        # takes ln(gamma - rho) from the gamma search, not from gamma.
+        for inst in (FiniteInstance(95, 100, 2000, 1e-3), FiniteInstance(190, 200, 1000, 1e-3)):
+            tb = tail_prob_lower(inst)
+            assert tb.gamma_used == inst.rho_n
+            for v in (tb.log_prefactor_proof, tb.log_eig_term, tb.log_total):
+                assert math.isfinite(v)
+            assert 0.0 <= tb.total <= 1.0
+
     def test_instance_validation(self):
         with pytest.raises(DomainError):
             FiniteInstance(200, 200, 2000, 1e-3)
