@@ -19,12 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
-from .rates import (
-    ProblemShape,
-    _net_max_raw,
-    _net_min_log_lambda,
-    shannon_entropy,
-)
+from .rates import _net_max_raw, _net_min_log_lambda, shannon_entropy
 
 __all__ = [
     "AsymptoticBound",
@@ -33,7 +28,6 @@ __all__ = [
     "solve_lambda_min",
     "optimize_gamma_for_max",
     "optimize_gamma_for_min",
-    "golden_section",
     "stationarity_residual",
     "bt_bounds",
     "bct_bounds",
@@ -49,7 +43,7 @@ L1_THRESHOLD = math.sqrt(2.0) - 1.0
 
 # Root residual target for the implicit lambda equations.
 RESIDUAL_TOL = 1e-12
-# Relative width target for gamma / nu location searches.
+# Relative width target for gamma location searches.
 GAMMA_TOL = 1e-10
 
 _LAMBDA_CEILING = 1e9
@@ -329,33 +323,6 @@ def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
     return GammaOptimum(gamma, solve_lambda_min(delta, rho, gamma), False, u)
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section(fn, lo: float, hi: float, tol: float = GAMMA_TOL) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi].
-
-    Returns (argmin, min value).
-    """
-    if not lo < hi:
-        raise DomainError(f"empty search interval [{lo}, {hi}]")
-    a, b = lo, hi
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol * max(1.0, abs(a)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = fn(x2)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 def bt_bounds(delta: float, rho: float) -> AsymptoticBound:
     """Gamma-optimized upper and lower bounds at one (delta, rho) point."""
     upper = optimize_gamma_for_max(delta, rho)
@@ -385,33 +352,28 @@ def bct_bounds(delta: float, rho: float) -> AsymptoticBound:
 
     The upper bound of this family is min over nu in [rho, 1] of
     lambda^max(delta, nu; nu) - 1: a bound valid at sparsity nu >= rho also
-    covers sparsity rho.  The minimum is located by a coarse scan followed
-    by golden section on the bracketing subinterval.
+    covers sparsity rho.  That minimum sits at an end of the interval.
+    lambda(nu) = lambda^max(delta, nu; nu) solves
+    F(lambda, nu) = delta psi_max(lambda, nu) + H(nu delta) = 0 (the
+    entropy-ratio term vanishes at gamma = rho = nu).  At the root
+    lambda > 1 + nu, so dF/dlambda = (delta/2)((1 + nu)/lambda - 1) < 0 and
+    lambda'(nu) has the sign of g(nu) = (1/2) ln(lambda/nu)
+    + ln((1 - nu delta)/(nu delta)).  Wherever g = 0, lambda' = 0 too, so
+    there g'(nu) = -1/(2 nu) - delta/(1 - nu delta) - 1/nu < 0: g crosses
+    zero at most once, downward, so lambda rises and then may fall and has
+    no interior minimum.  The two ends are compared; a tie keeps rho.
     """
     _validate_point(delta, rho)
     log_lam_min = solve_lambda_min(delta, rho, rho)
     lam_min = math.exp(log_lam_min)
-
-    def upper(nu: float) -> float:
-        return solve_lambda_max(delta, nu, nu)
-
+    nu_opt, lam_max = rho, solve_lambda_max(delta, rho, rho)
     # The right end stays a hair inside rho < 1, where the exponent solver
-    # is defined; the bound there is continuous in nu.
-    nu_top = 1.0 - 1e-12
-    pts = [rho + (nu_top - rho) * i / 32.0 for i in range(33)]
-    vals = [upper(p) for p in pts]
-    i = vals.index(min(vals))
-    lo = pts[max(i - 1, 0)]
-    hi = pts[min(i + 1, 32)]
-    if lo < hi:
-        nu_opt, lam_max = golden_section(upper, lo, hi)
-    else:
-        nu_opt, lam_max = pts[i], vals[i]
-    # Endpoint guard: the scan grid's edge values compete with the refined
-    # interior candidate when the minimum sits at rho or 1.
-    for cand, val in ((pts[0], vals[0]), (pts[-1], vals[-1])):
-        if val < lam_max:
-            nu_opt, lam_max = cand, val
+    # is defined; the bound there is continuous in nu.  It never drops
+    # below rho, where the bound would not cover sparsity rho.
+    nu_top = max(rho, 1.0 - 1e-12)
+    lam_top = solve_lambda_max(delta, nu_top, nu_top)
+    if lam_top < lam_max:
+        nu_opt, lam_max = nu_top, lam_top
     return AsymptoticBound(
         family="BCT",
         delta=delta,

@@ -276,7 +276,14 @@ def empirical_cmd(ctx, n_rows, sizes, k_frac, k_fixed, restarts):
 
     Guard violations are reported per cell; the sweep continues.
     """
-    n_list = [int(s) for s in sizes.split(",") if s.strip()]
+    try:
+        n_list = [int(s) for s in sizes.split(",") if s.strip()]
+    except ValueError:
+        raise DomainError(f"sizes must be comma-separated integers, got {sizes!r}") from None
+    if not n_list or min(n_list) < 1:
+        raise DomainError(f"sizes must list positive integers, got {sizes!r}")
+    if restarts < 1:
+        raise DomainError(f"restarts must be >= 1, got {restarts}")
     k = k_fixed if k_fixed is not None else max(1, round(k_frac * n_rows))
     seed = ctx.obj["seed"]
 

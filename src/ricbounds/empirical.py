@@ -171,6 +171,8 @@ def local_search(
         raise DomainError(f"mode must be 'upper' or 'lower', got {mode!r}")
     if not 0 < k < sample.N:
         raise DomainError(f"k must be in [1, N), got {k}")
+    if restarts < 1:
+        raise DomainError(f"restarts must be >= 1, got {restarts}")
     sign = 1.0 if mode == "upper" else -1.0
     gram_full = sample.entries.T @ sample.entries
     A = sample.entries

@@ -119,24 +119,23 @@ def net_exponent_max(lam: float, shape: ProblemShape) -> float:
 
 
 def net_exponent_min(lam: float, shape: ProblemShape) -> float:
-    """Net exponent whose root (at lam <= 1-gamma) defines lambda^min."""
+    """Net exponent whose root (at lam <= 1-gamma) defines lambda^min.
+
+    delta * psi_min(lam, gamma) + H(rho*delta) - delta*gamma*H(rho/gamma).
+    """
     if shape.gamma is None:
         raise DomainError("shape.gamma is required for the net exponent")
-    return _net_min_raw(lam, shape.delta, shape.rho, shape.gamma)
+    if lam <= 0.0:
+        raise DomainError(f"lambda must be positive, got {lam}")
+    if shape.gamma >= 1.0:
+        raise DomainError(f"gamma must be in (0,1) for psi_min, got {shape.gamma}")
+    return _net_min_log_lambda(math.log(lam), shape.delta, shape.rho, shape.gamma)
 
 
 def _net_max_raw(lam: float, delta: float, rho: float, gamma: float) -> float:
     # Fast path used inside root searches; inputs already validated.
     return (
         delta * psi_max(lam, gamma)
-        + shannon_entropy(rho * delta)
-        - delta * _entropy_ratio_term(rho, gamma)
-    )
-
-
-def _net_min_raw(lam: float, delta: float, rho: float, gamma: float) -> float:
-    return (
-        delta * psi_min(lam, gamma)
         + shannon_entropy(rho * delta)
         - delta * _entropy_ratio_term(rho, gamma)
     )

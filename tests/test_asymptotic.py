@@ -13,7 +13,6 @@ from ricbounds.asymptotic import (
     bt_bounds,
     compute_bounds,
     ct_bounds,
-    golden_section,
     l1_phase_transition,
     optimize_gamma_for_max,
     optimize_gamma_for_min,
@@ -199,17 +198,6 @@ class TestGammaOptimizers:
         assert lam_opt <= scan + 1e-9
 
 
-class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        x, v = golden_section(lambda x: (x - 2.0) ** 2 + 1.0, 0.0, 5.0, tol=1e-12)
-        assert x == pytest.approx(2.0, abs=1e-6)
-        assert v == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(DomainError):
-            golden_section(lambda x: x, 1.0, 1.0)
-
-
 class TestFamilies:
     def test_ct_closed_form_values(self):
         b = ct_bounds(0.5, 0.5)
@@ -235,14 +223,30 @@ class TestFamilies:
             assert b.U <= solve_lambda_max(d, r, r) - 1.0 + 1e-10
             assert r <= b.nu_opt <= 1.0
 
-    def test_bct_nu_against_dense_scan(self):
-        d, r = 0.3, 0.2
+    @pytest.mark.parametrize("d, r", [(0.3, 0.2), (0.97, 0.46), (0.9, 0.7)])
+    def test_bct_nu_against_dense_scan(self, d, r):
         b = bct_bounds(d, r)
+        assert b.nu_opt in (r, 1.0 - 1e-12)
         scan = min(
             solve_lambda_max(d, nu, nu)
             for nu in [r + (1 - 1e-9 - r) * i / 2000.0 for i in range(2001)]
         )
         assert b.lambda_max <= scan + 1e-8
+
+    def test_bct_solves_lambda_three_times(self, monkeypatch):
+        calls = {"max": 0, "min": 0}
+
+        def counted(side, fn):
+            def wrapper(*args):
+                calls[side] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(asymptotic, "solve_lambda_max", counted("max", solve_lambda_max))
+        monkeypatch.setattr(asymptotic, "solve_lambda_min", counted("min", solve_lambda_min))
+        bct_bounds(0.5, 0.5)
+        assert calls == {"max": 2, "min": 1}
 
     def test_dispatch(self):
         assert compute_bounds("CT", 0.5, 0.5).family == "CT"

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -19,6 +23,15 @@ def run_cli(capsys, *argv):
         code = exc.code or 0
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize alone adds about half a second to interpreter start-up.
+    probe = "import sys, ricbounds.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def load_schema():
@@ -162,6 +175,17 @@ class TestEmpirical:
         L, U, _, _ = exhaustive_ric(sample_gaussian(6, 10, 3), 2)
         assert float(row["U_est"]) == pytest.approx(U, abs=1e-9)
         assert float(row["L_est"]) == pytest.approx(L, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [("--sizes", "200,abc"), ("--sizes", ""), ("--sizes", "0"), ("--restarts", "0")],
+        ids=["sizes-not-int", "sizes-empty", "sizes-zero", "restarts-zero"],
+    )
+    def test_invalid_input_exit_code(self, capsys, bad):
+        code, out, err = run_cli(capsys, "empirical", "--n", "6", *bad)
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err
 
 
 class TestPhase:

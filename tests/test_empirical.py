@@ -169,6 +169,11 @@ class TestLocalSearch:
         with pytest.raises(DomainError):
             local_search(s, 2, "sideways")
 
+    def test_restarts_validation(self):
+        s = sample_gaussian(6, 10, 1)
+        with pytest.raises(DomainError):
+            local_search(s, 2, "upper", restarts=0)
+
 
 class TestSharpness:
     def test_ratios_at_least_one_on_seeded_instance(self):

@@ -122,6 +122,24 @@ class TestNetExponents:
         got = net_exponent_max(lam, ProblemShape(d, r, gamma=g))
         assert got == pytest.approx(float(ref), rel=1e-12)
 
+    def test_min_term_sum_against_high_precision(self):
+        d, r, g, lam = 0.25, 0.2, 0.4, 0.1
+        md, mg, mlam = mpmath.mpf(d), mpmath.mpf(g), mpmath.mpf(lam)
+        ref = (
+            md * (mp_entropy(g) + 0.5 * ((1 - mg) * mpmath.log(mlam)
+                                         + mg * mpmath.log(mg) + 1 - mg - mlam))
+            + mp_entropy(r * d)
+            - md * mg * mp_entropy(r / g)
+        )
+        got = net_exponent_min(lam, ProblemShape(d, r, gamma=g))
+        assert got == pytest.approx(float(ref), rel=1e-12)
+
+    def test_min_domain_checks(self):
+        with pytest.raises(DomainError):
+            net_exponent_min(0.0, ProblemShape(0.3, 0.4, gamma=0.5))
+        with pytest.raises(DomainError):
+            net_exponent_min(0.2, ProblemShape(0.3, 0.4, gamma=1.0))
+
 
 class TestProblemShape:
     def test_gamma_window(self):
