@@ -82,8 +82,9 @@ def random_cover(plan: CoveringPlan) -> tuple[bool, int]:
     """Draw the plan's u uniform m-subsets and test whether every k-subset
     of {0..N-1} is contained in at least one of them.
 
-    Returns (covered, uncovered_count).  Subsets are checked as bitmasks
-    in lexicographic order with early exit, guarded at C(N,k) <= 1e7.
+    Returns (covered, uncovered_count).  Every subset is checked, as a
+    bitmask in lexicographic order, so that all uncovered ones are counted;
+    guarded at C(N,k) <= 1e7.
     Coverage is monotone in u for a fixed seed: the first u' > u draws
     extend the first u.
     """

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from ricbounds.empirical import (
+    CANDIDATE_POOL,
+    IMPROVE_TOL,
+    EmpiricalRun,
+    MatrixSample,
     exhaustive_ric,
     gram_extreme_eigs,
     local_search,
@@ -173,6 +177,95 @@ class TestLocalSearch:
         s = sample_gaussian(6, 10, 1)
         with pytest.raises(DomainError):
             local_search(s, 2, "upper", restarts=0)
+
+
+def _per_swap_search(sample, k, mode, restarts, seed):
+    """Local search with one eigh call per trial swap: the loop that the
+    stacked sweep replaced, kept as an oracle."""
+    sign = 1.0 if mode == "upper" else -1.0
+    i = -1 if mode == "upper" else 0
+    A = sample.entries
+    gram_full = A.T @ A
+    N = sample.N
+
+    def objective(support):
+        vals, vecs = np.linalg.eigh(gram_full[np.ix_(support, support)])
+        return float(vals[i]), vecs[:, i]
+
+    best_val, best_signed, best_support, total_swaps = math.nan, -math.inf, (), 0
+    for stream in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(stream)
+        support = np.sort(rng.choice(N, size=k, replace=False))
+        val, vec = objective(support)
+        while True:
+            in_set = np.zeros(N, dtype=bool)
+            in_set[support] = True
+            out_cols = np.flatnonzero(~in_set)
+            scores = np.abs(A[:, out_cols].T @ (A[:, support] @ vec))
+            candidates = out_cols[np.argsort(scores)[::-1][:CANDIDATE_POOL]]
+            step_val, step_support = val, None
+            for j in candidates:
+                for pos in range(k):
+                    trial = support.copy()
+                    trial[pos] = j
+                    t_val, _ = objective(trial)
+                    if sign * (t_val - step_val) > 0.0:
+                        step_val, step_support = t_val, trial
+            if step_support is None or sign * (step_val - val) <= IMPROVE_TOL:
+                break
+            support = np.sort(step_support)
+            val, vec = objective(support)
+            total_swaps += 1
+        if sign * val > best_signed:
+            best_signed, best_val = sign * val, val
+            best_support = tuple(int(c) for c in support)
+    return EmpiricalRun(
+        n=sample.n,
+        N=sample.N,
+        k=k,
+        seed=seed,
+        mode=mode,
+        best_support=best_support,
+        extreme_eig=best_val,
+        estimate=best_val - 1.0 if mode == "upper" else 1.0 - best_val,
+        restarts=restarts,
+        swaps_taken=total_swaps,
+    )
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("n,N,k", [(6, 10, 2), (8, 12, 3), (40, 120, 5), (100, 500, 10)])
+    @pytest.mark.parametrize("mode", ["upper", "lower"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_swap_oracle(self, n, N, k, mode, seed):
+        sample = sample_gaussian(n, N, seed)
+        run = local_search(sample, k, mode, restarts=2, seed=seed)
+        assert run == _per_swap_search(sample, k, mode, restarts=2, seed=seed)
+
+    def test_exact_tie_goes_to_first_maximum(self):
+        # Columns 3 and 7 are one column, correlated with the long column 0,
+        # so {0, 3} and {0, 7} tie exactly as the best support.
+        entries = sample_gaussian(8, 12, 5).entries.copy()
+        entries[:, 0] *= 3.0
+        entries[:, 7] = entries[:, 3] = entries[:, 0] / 3.0 + entries[:, 3]
+        sample = MatrixSample(8, 12, 5, entries)
+        run = local_search(sample, 2, "upper", restarts=4, seed=0)
+        assert len({3, 7} & set(run.best_support)) == 1
+        assert run == _per_swap_search(sample, 2, "upper", restarts=4, seed=0)
+
+    @pytest.mark.parametrize("n,N,k", [(100, 200, 5), (8, 12, 3)])
+    def test_one_stacked_eigvalsh_per_sweep(self, monkeypatch, n, N, k):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        run = local_search(sample_gaussian(n, N, 3), k, "upper", restarts=3, seed=3)
+        assert len(shapes) == run.swaps_taken + run.restarts
+        assert set(shapes) == {(min(CANDIDATE_POOL, N - k) * k, k, k)}
 
 
 class TestSharpness:
