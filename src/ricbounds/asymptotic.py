@@ -49,11 +49,8 @@ GAMMA_TOL = 1e-10
 _LAMBDA_CEILING = 1e9
 # ln(lambda^min) scales like -c/(1-gamma) near gamma = 1, so the bracket
 # floor has to sit far below anything float-representable as lambda itself.
+# The BT searches on u = ln(gamma - rho) share it: u < -1e6 as rho -> 1.
 _LOG_FLOOR = -1e12
-# The optimal gamma can sit within 1e-34 of rho, far below what a search
-# on gamma resolves, so the BT searches run on u = ln(gamma - rho) down to
-# this floor and carry u out: gamma = rho + e^u loses it below one ulp of rho.
-_LOG_OFFSET_FLOOR = -690.0
 # Step cap of the bracket-narrowing loop in _root.
 _ROOT_STEPS = 200
 
@@ -231,25 +228,7 @@ def _first_order_max(log_lam: float, gamma: float, log_offset: float) -> float:
 def _first_order_min(log_lam: float, gamma: float, log_offset: float) -> float:
     """ln of gamma^3 lambda^min / ((1-gamma)^2 (gamma-rho)^2), zero at an
     interior optimum."""
-    return (
-        3.0 * math.log(gamma)
-        + log_lam
-        - 2.0 * math.log1p(-gamma)
-        - 2.0 * log_offset
-    )
-
-
-def _stationarity_max(delta: float, rho: float, log_offset: float) -> float:
-    """First-order condition of the upper-side search at gamma = rho + e^u."""
-    gamma = min(rho + math.exp(log_offset), 1.0 / delta)
-    lam = solve_lambda_max(delta, rho, gamma)
-    return _first_order_max(math.log(lam), gamma, log_offset)
-
-
-def _stationarity_min(delta: float, rho: float, log_offset: float) -> float:
-    """First-order condition of the lower-side search at gamma = rho + e^u."""
-    gamma = rho + math.exp(log_offset)
-    return _first_order_min(solve_lambda_min(delta, rho, gamma), gamma, log_offset)
+    return 3.0 * math.log(gamma) + log_lam - 2.0 * math.log1p(-gamma) - 2.0 * log_offset
 
 
 def stationarity_residual(b: AsymptoticBound, side: str) -> float | None:
@@ -276,51 +255,71 @@ def stationarity_residual(b: AsymptoticBound, side: str) -> float | None:
     raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
+def _gamma_search(delta, rho, g_edge, net_at_first_order, solve) -> GammaOptimum:
+    """Shared body of the BT gamma searches, on u = ln(gamma - rho).
+
+    At an interior optimum the first-order condition gives lambda in closed
+    form, lambda_1(u); net_at_first_order(u) is the net exponent F at
+    lambda_1 clamped to the side constraint.  F is positive at its foot
+    1 +- gamma (psi > 0 there, and H(rho delta) >= delta gamma H(rho/gamma)
+    as H is concave, H(0) = 0 and delta gamma <= 1) and monotone past it
+    through its root lambda^max or lambda^min.  So the clamped value is
+    positive exactly where lambda_1 lies between the foot and that root, the
+    sign of the first-order expression (negated on the lower side), and F's
+    root on the far side of the foot is never reached.  A negative value at
+    g_edge puts the optimum there; else _root finds the sign change below it.
+    One lambda solve at the chosen gamma keeps the residual check.
+    """
+    u = math.log(g_edge - rho)
+    f_edge = net_at_first_order(u)
+    at_edge = f_edge < 0.0
+    gamma = g_edge
+    if not at_edge:
+        a, b = _root(net_at_first_order, u, u - 1.0, GAMMA_TOL * 1e-2, _LOG_FLOOR, f_edge)
+        u = 0.5 * (a + b)
+        gamma = rho + math.exp(u)
+    return GammaOptimum(gamma, solve(delta, rho, gamma), at_edge, u)
+
+
 def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
     """Minimizing gamma for the upper bound over [rho, 1/delta].
 
-    The interior optimum solves lambda^max (gamma-rho)^2 = gamma^3; when
-    that condition stays negative up to gamma = 1/delta the minimum sits
-    on the boundary.
+    The interior optimum solves lambda^max (gamma-rho)^2 = gamma^3: the
+    search (_gamma_search) runs on F_max(max(lambda_1, 1 + gamma)) with
+    ln lambda_1 = 3 ln gamma - 2u.  psi_max(1 + gamma, gamma) > 0 and
+    dF/dlambda = (delta/2)((1+gamma)/lambda - 1) < 0 past the foot.
     """
     _validate_point(delta, rho)
     g_hi = 1.0 / delta
-    u_hi = math.log(g_hi - rho)
 
     def f(u):
-        return _stationarity_max(delta, rho, u)
+        gamma = min(rho + math.exp(u), g_hi)
+        lam = math.exp(-_first_order_max(0.0, gamma, u))
+        return _net_max_raw(max(lam, 1.0 + gamma), delta, rho, gamma)
 
-    f_hi = f(u_hi)
-    if f_hi < 0.0:
-        return GammaOptimum(g_hi, solve_lambda_max(delta, rho, g_hi), True, u_hi)
-    a, b = _root(f, u_hi, u_hi - 1.0, GAMMA_TOL * 1e-2, _LOG_OFFSET_FLOOR, f_hi)
-    u = 0.5 * (a + b)
-    gamma = rho + math.exp(u)
-    return GammaOptimum(gamma, solve_lambda_max(delta, rho, gamma), False, u)
+    return _gamma_search(delta, rho, g_hi, f, solve_lambda_max)
 
 
 def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
     """Minimizing gamma for the lower bound over [rho, 1).
 
-    The interior optimum solves gamma^3 lambda^min = (1-gamma)^2 (gamma-rho)^2;
-    the open right end of the interval is approached through a fixed guard.
+    The interior optimum solves gamma^3 lambda^min = (1-gamma)^2 (gamma-rho)^2:
+    the search (_gamma_search) runs on F_min(min(ln lambda_1, ln(1-gamma)))
+    with ln lambda_1 = 2 ln(1-gamma) + 2u - 3 ln gamma.  psi_min = H(gamma)/2
+    at the foot and dF/d ln lambda = (delta/2)(1 - gamma - lambda) > 0 below
+    it.  The open right end of the interval is approached through a guard.
     """
     _validate_point(delta, rho)
     g_cap = min(1.0, 1.0 / delta) - 1e-9
     if g_cap <= rho:
         return GammaOptimum(rho, solve_lambda_min(delta, rho, rho), True, -math.inf)
-    u_cap = math.log(g_cap - rho)
 
     def f(u):
-        return -_stationarity_min(delta, rho, u)
+        gamma = rho + math.exp(u)
+        log_lam = -_first_order_min(0.0, gamma, u)
+        return _net_min_log_lambda(min(log_lam, math.log1p(-gamma)), delta, rho, gamma)
 
-    f_cap = f(u_cap)
-    if f_cap < 0.0:
-        return GammaOptimum(g_cap, solve_lambda_min(delta, rho, g_cap), True, u_cap)
-    a, b = _root(f, u_cap, u_cap - 1.0, GAMMA_TOL * 1e-2, _LOG_OFFSET_FLOOR, f_cap)
-    u = 0.5 * (a + b)
-    gamma = rho + math.exp(u)
-    return GammaOptimum(gamma, solve_lambda_min(delta, rho, gamma), False, u)
+    return _gamma_search(delta, rho, g_cap, f, solve_lambda_min)
 
 
 def bt_bounds(delta: float, rho: float) -> AsymptoticBound:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -32,7 +33,6 @@ EXHAUSTIVE_GUARD = 1_000_000
 # Candidate pruning width for the swap neighborhood.
 CANDIDATE_POOL = 32
 IMPROVE_TOL = 1e-9
-_DENSE_EIG_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,11 @@ class MatrixSample:
 
     def columns(self, support) -> np.ndarray:
         return self.entries[:, list(support)]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The N x N Gram matrix, formed on first use and kept with the sample."""
+        return self.entries.T @ self.entries
 
 
 @dataclass(frozen=True)
@@ -86,25 +91,15 @@ def sample_gaussian(n: int, N: int, seed: int) -> MatrixSample:
 def gram_extreme_eigs(columns: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of the Gram matrix of the given columns.
 
-    Full symmetric decomposition up to 64 columns; an iterative extremal
-    solver (Rayleigh-quotient tolerance 1e-10) above that.  With more
-    columns than rows the Gram matrix is rank deficient and lambda_min is
-    0 up to roundoff; negative roundoff is clamped.
+    Full symmetric decomposition.  With more columns than rows the Gram
+    matrix is rank deficient and lambda_min is 0 up to roundoff; negative
+    roundoff is clamped.
     """
     columns = np.asarray(columns, dtype=float)
     if columns.ndim != 2:
         raise DomainError("columns must be a 2-d array")
-    k = columns.shape[1]
-    gram = columns.T @ columns
-    if k <= _DENSE_EIG_MAX:
-        eigs = np.linalg.eigvalsh(gram)
-        lo, hi = float(eigs[0]), float(eigs[-1])
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        hi = float(eigsh(gram, k=1, which="LA", tol=1e-10, return_eigenvectors=False)[0])
-        lo = float(eigsh(gram, k=1, which="SA", tol=1e-10, return_eigenvectors=False)[0])
-    return max(lo, 0.0), hi
+    eigs = np.linalg.eigvalsh(columns.T @ columns)
+    return max(float(eigs[0]), 0.0), float(eigs[-1])
 
 
 def exhaustive_ric(
@@ -124,7 +119,7 @@ def exhaustive_ric(
             f"C({sample.N}, {k}) = {count} supports exceeds the "
             f"exhaustive guard of {EXHAUSTIVE_GUARD}"
         )
-    gram_full = sample.entries.T @ sample.entries
+    gram_full = sample.gram
     best_hi = -math.inf
     best_lo = math.inf
     arg_hi: tuple[int, ...] = ()
@@ -178,7 +173,7 @@ def local_search(
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     sign = 1.0 if mode == "upper" else -1.0
-    gram_full = sample.entries.T @ sample.entries
+    gram_full = sample.gram
     A = sample.entries
     N = sample.N
 

@@ -78,6 +78,11 @@ def psi_max(lam: float, gamma: float) -> float:
         raise DomainError(f"lambda must be positive, got {lam}")
     if gamma <= 0.0:
         raise DomainError(f"gamma must be positive, got {gamma}")
+    return _psi_max(lam, gamma)
+
+
+def _psi_max(lam: float, gamma: float) -> float:
+    # Unvalidated core of psi_max, for the root loops.
     return 0.5 * (
         (1.0 + gamma) * math.log(lam) - gamma * math.log(gamma) + 1.0 + gamma - lam
     )
@@ -94,8 +99,13 @@ def psi_min(lam: float, gamma: float) -> float:
         raise DomainError(f"lambda must be positive, got {lam}")
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"gamma must be in (0,1) for psi_min, got {gamma}")
+    return _psi_min(lam, math.log(lam), gamma)
+
+
+def _psi_min(lam: float, log_lam: float, gamma: float) -> float:
+    # Unvalidated core of psi_min; log_lam stays finite where lam underflows.
     return shannon_entropy(gamma) + 0.5 * (
-        (1.0 - gamma) * math.log(lam) + gamma * math.log(gamma) + 1.0 - gamma - lam
+        (1.0 - gamma) * log_lam + gamma * math.log(gamma) + 1.0 - gamma - lam
     )
 
 
@@ -135,7 +145,7 @@ def net_exponent_min(lam: float, shape: ProblemShape) -> float:
 def _net_max_raw(lam: float, delta: float, rho: float, gamma: float) -> float:
     # Fast path used inside root searches; inputs already validated.
     return (
-        delta * psi_max(lam, gamma)
+        delta * _psi_max(lam, gamma)
         + shannon_entropy(rho * delta)
         - delta * _entropy_ratio_term(rho, gamma)
     )
@@ -146,12 +156,7 @@ def _net_max_raw(lam: float, delta: float, rho: float, gamma: float) -> float:
 def _net_min_log_lambda(log_lam: float, delta: float, rho: float, gamma: float) -> float:
     lam = math.exp(log_lam) if log_lam > -700.0 else 0.0
     return (
-        delta
-        * (
-            shannon_entropy(gamma)
-            + 0.5
-            * ((1.0 - gamma) * log_lam + gamma * math.log(gamma) + 1.0 - gamma - lam)
-        )
+        delta * _psi_min(lam, log_lam, gamma)
         + shannon_entropy(rho * delta)
         - delta * _entropy_ratio_term(rho, gamma)
     )

@@ -189,13 +189,64 @@ class TestGammaOptimizers:
         with pytest.raises(DomainError):
             stationarity_residual(interior, "middle")
 
-    def test_dense_scan_confirms_optimum(self):
-        d, r = 0.1, 0.5
+    @pytest.mark.parametrize("d, r", [(0.1, 0.5), (0.001, 0.001)])
+    def test_dense_scan_confirms_optimum(self, d, r):
+        # gamma - rho spans twelve decades below each edge, so the scan also
+        # reaches optima that sit close to rho, as in the corner.
+        fracs = [10.0 ** (-12.0 * i / 400.0) for i in range(401)]
+        g_hi, g_cap = 1.0 / d, min(1.0, 1.0 / d) - 1e-9
         lam_opt = optimize_gamma_for_max(d, r).value
-        scan = min(
-            solve_lambda_max(d, r, r + (1.0 / d - r) * i / 400.0) for i in range(1, 401)
-        )
+        scan = min(solve_lambda_max(d, r, r + (g_hi - r) * t) for t in fracs)
         assert lam_opt <= scan + 1e-9
+        log_lam_opt = optimize_gamma_for_min(d, r).value
+        scan = max(solve_lambda_min(d, r, r + (g_cap - r) * t) for t in fracs)
+        assert log_lam_opt >= scan - 1e-9
+
+    @pytest.mark.parametrize("d", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("r", [0.999, 1.0 - 1e-5, 1.0 - 1e-7])
+    def test_finite_as_rho_tends_to_one(self, d, r):
+        b = bt_bounds(d, r)
+        for value in (b.L, b.U, b.log_lambda_min, b.log_gamma_offset_min, b.log_gamma_offset_max):
+            assert math.isfinite(value)
+        assert abs(_net_max_raw(b.lambda_max, d, r, b.gamma_min)) <= 1e-12
+        assert abs(_net_min_log_lambda(b.log_lambda_min, d, r, b.gamma_max)) <= 1e-12
+        assert b.lambda_max >= 1.0 + b.gamma_min
+        assert b.log_lambda_min <= math.log1p(-b.gamma_max)
+        assert b.log_lambda_min >= bct_bounds(d, r).log_lambda_min - 1e-13
+
+    @pytest.mark.parametrize("d, r", [(0.5, 0.5), (0.05, 0.95), (0.001, 0.001), (0.5, 0.999)])
+    def test_bt_takes_few_evaluations(self, d, r, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(asymptotic, "_net_max_raw", counted(_net_max_raw))
+        monkeypatch.setattr(asymptotic, "_net_min_log_lambda", counted(_net_min_log_lambda))
+        bt_bounds(d, r)
+        assert calls[0] <= 250
+
+    @pytest.mark.parametrize("d, r", [(0.1, 0.5), (0.8, 0.8)])
+    def test_each_optimizer_solves_lambda_once(self, d, r, monkeypatch):
+        calls = {"max": 0, "min": 0}
+
+        def counted(side, fn):
+            def wrapper(*args):
+                calls[side] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(asymptotic, "solve_lambda_max", counted("max", solve_lambda_max))
+        monkeypatch.setattr(asymptotic, "solve_lambda_min", counted("min", solve_lambda_min))
+        optimize_gamma_for_max(d, r)
+        assert calls == {"max": 1, "min": 0}
+        optimize_gamma_for_min(d, r)
+        assert calls == {"max": 1, "min": 1}
 
 
 class TestFamilies:

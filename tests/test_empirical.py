@@ -41,6 +41,16 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_gaussian(0, 5, 1)
 
+    def test_gram_formed_lazily_once_per_sample(self):
+        s = sample_gaussian(8, 12, 3)
+        assert "gram" not in vars(s)
+        local_search(s, 3, "upper", restarts=2)
+        gram = vars(s)["gram"]
+        assert np.array_equal(gram, s.entries.T @ s.entries)
+        local_search(s, 3, "lower", restarts=2)
+        exhaustive_ric(s, 2)
+        assert s.gram is gram
+
 
 class TestGramExtremeEigs:
     def test_orthonormal_columns(self):
@@ -78,9 +88,9 @@ class TestGramExtremeEigs:
         assert lo2 == pytest.approx(9.0 * lo, rel=1e-10)
         assert hi2 == pytest.approx(9.0 * hi, rel=1e-10)
 
-    def test_iterative_path_matches_dense(self):
+    def test_seventy_columns_match_full_spectrum(self):
         cols = np.random.default_rng(17).standard_normal((120, 70)) / math.sqrt(120)
-        lo, hi = gram_extreme_eigs(cols)  # k = 70 takes the iterative path
+        lo, hi = gram_extreme_eigs(cols)
         dense = np.linalg.eigvalsh(cols.T @ cols)
         assert hi == pytest.approx(float(dense[-1]), rel=1e-8)
         assert lo == pytest.approx(float(dense[0]), abs=1e-8)
