@@ -3,12 +3,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricbounds.empirical import (
     CANDIDATE_POOL,
     IMPROVE_TOL,
     EmpiricalRun,
     MatrixSample,
+    _swap_brackets,
     exhaustive_ric,
     gram_extreme_eigs,
     local_search,
@@ -244,7 +247,10 @@ def _per_swap_search(sample, k, mode, restarts, seed):
 
 
 class TestStackedSweep:
-    @pytest.mark.parametrize("n,N,k", [(6, 10, 2), (8, 12, 3), (40, 120, 5), (100, 500, 10)])
+    @pytest.mark.parametrize(
+        "n,N,k",
+        [(6, 10, 2), (8, 12, 3), (100, 300, 4), (40, 120, 5), (100, 500, 10), (100, 300, 20)],
+    )
     @pytest.mark.parametrize("mode", ["upper", "lower"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_swap_oracle(self, n, N, k, mode, seed):
@@ -263,19 +269,101 @@ class TestStackedSweep:
         assert len({3, 7} & set(run.best_support)) == 1
         assert run == _per_swap_search(sample, 2, "upper", restarts=4, seed=0)
 
-    @pytest.mark.parametrize("n,N,k", [(100, 200, 5), (8, 12, 3)])
-    def test_one_stacked_eigvalsh_per_sweep(self, monkeypatch, n, N, k):
-        shapes = []
+    def test_exact_tie_goes_to_first_maximum_through_pruning(self, monkeypatch):
+        # As above at k = 3, where swaps are pruned: columns 3 and 7 are one
+        # column, so trials placing either at one position tie exactly.  In
+        # this search a pruned sweep takes such a tie as its steepest swap,
+        # and the last maximum would lead elsewhere.
+        entries = sample_gaussian(20, 40, 0).entries.copy()
+        entries[:, 0] *= 3.0
+        entries[:, 7] = entries[:, 3] = entries[:, 0] / 3.0 + entries[:, 3]
+        sample = MatrixSample(20, 40, 0, entries)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            vals = eigvalsh(a, *args, **kwargs)
+            solved.append(vals[:, 0])
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        run = local_search(sample, 3, "lower", restarts=4, seed=1)
+        monkeypatch.undo()
+        assert run == _per_swap_search(sample, 3, "lower", restarts=4, seed=1)
+        assert any(
+            len(v) < CANDIDATE_POOL * 3 and np.count_nonzero(v == v.min()) > 1
+            for v in solved
+        )
+
+    @pytest.mark.parametrize("n,N,k", [(100, 200, 5), (100, 500, 10)])
+    @pytest.mark.parametrize("mode", ["upper", "lower"])
+    def test_pruned_sweep_solves_few_trials(self, monkeypatch, n, N, k, mode):
+        counts = []
         eigvalsh = np.linalg.eigvalsh
 
         def counted(a, *args, **kwargs):
-            shapes.append(a.shape)
+            counts.append(a.shape[0])
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        run = local_search(sample_gaussian(n, N, 3), k, "upper", restarts=3, seed=3)
-        assert len(shapes) == run.swaps_taken + run.restarts
-        assert set(shapes) == {(min(CANDIDATE_POOL, N - k) * k, k, k)}
+        run = local_search(sample_gaussian(n, N, 3), k, mode, restarts=3, seed=3)
+        sweeps = run.swaps_taken + run.restarts
+        pool = CANDIDATE_POOL * k
+        assert len(counts) <= sweeps
+        assert all(1 <= c <= pool for c in counts)
+        assert sum(counts) <= sweeps * pool // 4
+
+
+def _trial_values(gram, support, candidates, mode):
+    """LAPACK's extreme eigenvalue of every trial, as a (C, k) array."""
+    k = len(support)
+    trials = np.tile(support, (len(candidates), k, 1))
+    trials[:, np.arange(k), np.arange(k)] = candidates[:, None]
+    vals = np.linalg.eigvalsh(gram[trials[..., :, None], trials[..., None, :]])
+    return vals[..., -1 if mode == "upper" else 0]
+
+
+@st.composite
+def _bracket_cases(draw):
+    kind = draw(st.sampled_from(["gaussian", "duplicated", "orthonormal"]))
+    k = draw(st.integers(3, 12))
+    N = draw(st.integers(k + 1, k + 40))
+    n = N if kind == "orthonormal" else draw(st.integers(k, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = rng.standard_normal((n, N)) / math.sqrt(n)
+    if kind == "orthonormal":
+        entries = np.linalg.qr(entries)[0]
+    elif kind == "duplicated":
+        src = rng.choice(N, size=N // 2)
+        entries[:, rng.choice(N, size=N // 2, replace=False)] = entries[:, src]
+    order = rng.permutation(N)
+    support = np.sort(order[:k])
+    candidates = order[k : k + CANDIDATE_POOL]
+    return entries.T @ entries, support, candidates, draw(st.sampled_from(["upper", "lower"]))
+
+
+class TestSwapBrackets:
+    @given(_bracket_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_brackets_contain_lapack_values(self, case):
+        # The brackets carry their rounding margin, so they hold with no slack.
+        gram, support, candidates, mode = case
+        sign = 1.0 if mode == "upper" else -1.0
+        lo, hi = _swap_brackets(gram, support, candidates, sign)
+        vals = _trial_values(gram, support, candidates, mode)
+        assert np.all(sign * lo <= sign * vals)
+        assert np.all(sign * vals <= sign * hi)
+
+    def test_orthonormal_columns_give_an_infinite_bound(self):
+        q = np.linalg.qr(np.random.default_rng(2).standard_normal((12, 12)))[0]
+        lo, hi = _swap_brackets(q.T @ q, np.arange(4), np.arange(4, 12), 1.0)
+        assert np.allclose(lo, 1.0) and np.all(hi == np.inf)
+
+    def test_every_trial_survives_below_three_columns(self):
+        gram = sample_gaussian(10, 20, 1).gram
+        lo, hi = _swap_brackets(gram, np.array([2, 5]), np.arange(6, 20), -1.0)
+        assert lo.shape == hi.shape == (14, 2)
+        assert np.all(lo == np.inf) and np.all(hi == -np.inf)
 
 
 class TestSharpness:
