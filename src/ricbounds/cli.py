@@ -4,10 +4,12 @@ Subcommands: bounds (single point), grid (surface sweep), finite (tail
 probabilities at concrete sizes), empirical (sampled estimates vs theory),
 phase (l1 recovery curve), cover (random covering simulation).
 
-Output contract: human-readable text by default, a versioned JSON envelope
-with --json, CSV/SVG artifacts via --format/--out.  Numeric CSV fields use
-shortest round-trip formatting.  Every randomized command is replay
-deterministic given --seed.
+Output goes to stdout or --out.  By default a table of rows (grid,
+empirical, phase) prints as CSV and one record (bounds, finite, cover) as
+aligned key/value text.  --format json gives a versioned envelope,
+--format csv a record as one CSV row, and --format svg the figure of grid
+or phase.  Numbers print in shortest round-trip form.  Every randomized
+command is replay deterministic given --seed.
 
 Exit codes: 0 success, 2 domain error, 3 solver failure, 4 guard refusal,
 5 I/O failure.
@@ -45,13 +47,11 @@ GRID_COLUMNS = [
 ]
 
 
-def _num(x) -> str:
-    """Shortest decimal that round-trips the value; empty for missing."""
+def _cell(x) -> str:
+    """Shortest decimal that round-trips a float; empty for missing."""
     if x is None:
         return ""
-    if isinstance(x, bool) or isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
@@ -59,10 +59,7 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow(
-            [_num(v) if isinstance(v, (int, float)) or v is None else str(v)
-             for v in (row.get(c) for c in columns)]
-        )
+        writer.writerow([_cell(row.get(c)) for c in columns])
     return buf.getvalue()
 
 
@@ -77,9 +74,12 @@ def _write_out(content: str, out: str | None) -> None:
         raise IOFailure(f"cannot write {out}: {exc}") from exc
 
 
-def _emit(ctx, command: str, params: dict, results, *, csv_text=None, svg_text=None, text=None):
+def _emit(ctx, command: str, params: dict, results, *, columns=None, figure=None):
+    """Write results, a table (list of rows) or one record (dict), in the
+    requested --format; figure() builds the SVG only when it is asked for."""
     opts = ctx.obj
-    if opts["json"] or opts["format"] == "json":
+    fmt = opts["format"]
+    if fmt == "json":
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -88,30 +88,34 @@ def _emit(ctx, command: str, params: dict, results, *, csv_text=None, svg_text=N
             "wall_time_s": time.monotonic() - opts["t0"],
             "results": results,
         }
-        _write_out(json.dumps(envelope, indent=2, allow_nan=True), opts["out"])
-    elif opts["format"] == "svg" and svg_text is not None:
-        _write_out(svg_text, opts["out"])
-    elif opts["format"] == "csv" and csv_text is not None:
-        _write_out(csv_text, opts["out"])
+        text = json.dumps(envelope, indent=2, allow_nan=True)
+    elif fmt == "svg":
+        text = figure()
+    elif isinstance(results, list):
+        text = _rows_to_csv(results, columns)
+    elif fmt == "csv":
+        text = _rows_to_csv([results], list(results))
     else:
-        _write_out(text if text is not None else json.dumps(results, indent=2), opts["out"])
+        width = max(map(len, results))
+        text = "\n".join(f"{key:<{width}}  {_cell(v)}".rstrip() for key, v in results.items())
+    _write_out(text, opts["out"])
 
 
 @click.group()
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON envelope instead of text.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output to a file.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Root RNG seed.")
 @click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json", "svg"]), default="csv",
-    show_default=True, help="Artifact format for tabular commands.",
+    "--format", "fmt", type=click.Choice(["csv", "json", "svg"]), default=None,
+    help="Output format [default: CSV for tables, key/value text for records].",
 )
 @click.pass_context
-def cli(ctx, as_json, out, seed, fmt):
+def cli(ctx, out, seed, fmt):
     """Probabilistic bounds on restricted isometry constants of Gaussian
     matrices: asymptotic bound families, finite-size tail probabilities,
     empirical estimates, covering simulations, and recovery phase curves."""
+    if fmt == "svg" and ctx.invoked_subcommand not in ("grid", "phase"):
+        raise DomainError(f"--format svg draws grid and phase only, not {ctx.invoked_subcommand}")
     ctx.obj = {
-        "json": as_json,
         "out": out,
         "seed": seed,
         "format": fmt,
@@ -152,18 +156,7 @@ def _bound_record(b: asymptotic.AsymptoticBound) -> dict:
 def bounds(ctx, delta, rho, family):
     """Bound values at a single (DELTA, RHO) point."""
     b = asymptotic.compute_bounds(family, delta, rho)
-    rec = _bound_record(b)
-    lines = [f"{family} bounds at delta={delta:g}, rho={rho:g}"]
-    for key in ("L", "U", "lambda_min", "lambda_max"):
-        lines.append(f"  {key:<12} {rec[key]:.6e}")
-    for key in ("gamma_min", "gamma_max", "nu_opt"):
-        if rec.get(key) is not None:
-            lines.append(f"  {key:<12} {rec[key]:.6e}")
-    for key in ("stationarity_residual_upper", "stationarity_residual_lower"):
-        if rec.get(key) is not None:
-            lines.append(f"  {key} {rec[key]:.3e}")
-    _emit(ctx, "bounds", {"delta": delta, "rho": rho, "family": family}, rec,
-          text="\n".join(lines))
+    _emit(ctx, "bounds", {"delta": delta, "rho": rho, "family": family}, _bound_record(b))
 
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
@@ -206,13 +199,13 @@ def grid(ctx, delta_min, delta_max, delta_steps, rho_min, rho_max, rho_steps, fa
         [bounds_list[(0 * len(deltas) + i) * len(rhos) + j].U for i in range(len(deltas))]
         for j in range(len(rhos))
     ]
-    svg = heatmap_svg(surface, deltas, rhos, f"U {fams[0]} bound surface")
     params = {
         "delta_range": [delta_min, delta_max, delta_steps],
         "rho_range": [rho_min, rho_max, rho_steps],
         "families": fams,
     }
-    _emit(ctx, "grid", params, rows, csv_text=_rows_to_csv(rows, GRID_COLUMNS), svg_text=svg)
+    _emit(ctx, "grid", params, rows, columns=GRID_COLUMNS,
+          figure=lambda: heatmap_svg(surface, deltas, rhos, f"U {fams[0]} bound surface"))
 
 
 @cli.command("finite")
@@ -245,18 +238,7 @@ def finite_cmd(ctx, k, n, n_total, epsilon, side):
         "log_prefactor_proof": tb.log_prefactor_proof,
         "log_prefactor_stated": tb.log_prefactor_stated,
     }
-    lines = [
-        f"{side} tail bound for (k={k}, n={n}, N={n_total}, eps={epsilon:g})",
-        f"  total        {tb.total:.3e}   (log {tb.log_total:.6g})",
-        f"  eig_term     {tb.eig_term:.3e}   (log {tb.log_eig_term:.6g})",
-        f"  cover_term   {tb.cover_term:.3e}   (log {tb.log_cover_term:.6g})",
-        f"  lambda_star  {tb.lambda_star:.6e} (log {tb.log_lambda_star:.6g})",
-        f"  gamma_used   {tb.gamma_used:.6e}",
-        f"  prefactor logs: proof {tb.log_prefactor_proof:.6g}, "
-        f"stated {tb.log_prefactor_stated:.6g}",
-    ]
-    _emit(ctx, "finite", {"k": k, "n": n, "N": n_total, "epsilon": epsilon, "side": side},
-          rec, text="\n".join(lines))
+    _emit(ctx, "finite", {"k": k, "n": n, "N": n_total, "epsilon": epsilon, "side": side}, rec)
 
 
 EMPIRICAL_COLUMNS = ["n", "N", "k", "U_est", "L_est", "U_theory", "L_theory",
@@ -284,6 +266,12 @@ def empirical_cmd(ctx, n_rows, sizes, k_frac, k_fixed, restarts):
         raise DomainError(f"sizes must list positive integers, got {sizes!r}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
+    if n_rows < 1:
+        raise DomainError(f"n must be >= 1, got {n_rows}")
+    if k_fixed is not None and k_fixed < 1:
+        raise DomainError(f"k must be >= 1, got {k_fixed}")
+    if not math.isfinite(k_frac):
+        raise DomainError(f"k-frac must be finite, got {k_frac}")
     k = k_fixed if k_fixed is not None else max(1, round(k_frac * n_rows))
     seed = ctx.obj["seed"]
 
@@ -308,8 +296,7 @@ def empirical_cmd(ctx, n_rows, sizes, k_frac, k_fixed, restarts):
 
     rows = [run_cell(N) for N in n_list]
     params = {"n": n_rows, "sizes": n_list, "k": k, "restarts": restarts}
-    _emit(ctx, "empirical", params, rows,
-          csv_text=_rows_to_csv(rows, EMPIRICAL_COLUMNS))
+    _emit(ctx, "empirical", params, rows, columns=EMPIRICAL_COLUMNS)
 
 
 PHASE_COLUMNS = ["delta", "family", "rho_star"]
@@ -336,9 +323,9 @@ def phase_cmd(ctx, delta_steps, delta_min, delta_max, families):
         f: (deltas, [r["rho_star"] for r in rows if r["family"] == f])
         for f in fams
     }
-    svg = curve_svg(series, "l1 phase transition lower bound", log_y=True)
     params = {"delta_range": [delta_min, delta_max, delta_steps], "families": fams}
-    _emit(ctx, "phase", params, rows, csv_text=_rows_to_csv(rows, PHASE_COLUMNS), svg_text=svg)
+    _emit(ctx, "phase", params, rows, columns=PHASE_COLUMNS,
+          figure=lambda: curve_svg(series, "l1 phase transition lower bound", log_y=True))
 
 
 @cli.command("cover")
@@ -364,7 +351,7 @@ def cover_cmd(ctx, n_universe, k, m, u, trials, details):
     outcomes = [run_trial(ts) for ts in trial_seeds]
     plan0 = outcomes[0][0]
     failures = sum(1 for _, covered, _ in outcomes if not covered)
-    cb = covering.covering_bound(covering.CoveringPlan(N=n_universe, k=k, m=m, seed=0))
+    cb = covering.covering_bound(plan0)
     rec = {
         "N": n_universe,
         "k": k,
@@ -381,22 +368,12 @@ def cover_cmd(ctx, n_universe, k, m, u, trials, details):
     }
     if details:
         rec["trial_uncovered_counts"] = [unc for _, _, unc in outcomes]
-    lines = [
-        f"covering N={n_universe}, k={k}, m={m}: r={plan0.r:.6g}, u={plan0.u}",
-        f"  failures {failures}/{trials} (frequency {failures / trials:.3g})",
-        f"  envelope bound    {cb.envelope:.3e} (log {cb.log_envelope:.6g})",
-        f"  intermediate bound {cb.intermediate:.3e} (log {cb.log_intermediate:.6g})",
-    ]
-    _emit(ctx, "cover", {"N": n_universe, "k": k, "m": m, "u": u, "trials": trials},
-          rec, text="\n".join(lines))
+    _emit(ctx, "cover", {"N": n_universe, "k": k, "m": m, "u": u, "trials": trials}, rec)
 
 
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(2)
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)

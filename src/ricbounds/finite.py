@@ -50,8 +50,8 @@ class FiniteInstance:
     def __post_init__(self):
         if not (0 < self.k < self.n < self.N):
             raise DomainError(f"require 0 < k < n < N, got ({self.k}, {self.n}, {self.N})")
-        if self.epsilon <= 0.0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def delta_n(self) -> float:

@@ -38,6 +38,21 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
+def _frame(title: str, body: list[str], x_axis: str, y_axis: str, *notes: str) -> str:
+    """The canvas, title and axis labels around a figure's body elements."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        *body,
+        f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle" font-size="13">{x_axis}</text>',
+        f'<text x="16" y="{_H / 2}" font-size="13" '
+        f'transform="rotate(-90 16 {_H / 2})" text-anchor="middle">{y_axis}</text>',
+        *notes,
+        "</svg>",
+    ])
+
+
 def heatmap_svg(
     values: list[list[float]],
     xs: list[float],
@@ -53,34 +68,22 @@ def heatmap_svg(
     hi = max(finite) if finite else 1.0
     cell_w = (_W - _ML - _MR) / n_x
     cell_h = (_H - _MT - _MB) / n_y
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
-    ]
+    cells = []
     for j in range(n_y):
         for i in range(n_x):
             x = _ML + i * cell_w
             y = _H - _MB - (j + 1) * cell_h
-            parts.append(
+            cells.append(
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.5:.2f}" '
                 f'height="{cell_h + 0.5:.2f}" fill="{_color(values[j][i], lo, hi)}"/>'
             )
-    parts.append(
-        f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle" font-size="13">'
-        f"{xlabel}: {_fmt(xs[0])} .. {_fmt(xs[-1])}</text>"
-    )
-    parts.append(
-        f'<text x="16" y="{_H / 2}" font-size="13" '
-        f'transform="rotate(-90 16 {_H / 2})" text-anchor="middle">'
-        f"{ylabel}: {_fmt(ys[0])} .. {_fmt(ys[-1])}</text>"
-    )
-    parts.append(
+    return _frame(
+        title, cells,
+        f"{xlabel}: {_fmt(xs[0])} .. {_fmt(xs[-1])}",
+        f"{ylabel}: {_fmt(ys[0])} .. {_fmt(ys[-1])}",
         f'<text x="{_ML}" y="{_MT - 6}" font-size="12">'
-        f"scale: {_fmt(lo)} (blue) to {_fmt(hi)} (red)</text>"
+        f"scale: {_fmt(lo)} (blue) to {_fmt(hi)} (red)</text>",
     )
-    parts.append("</svg>")
-    return "\n".join(parts)
 
 
 _SERIES_COLORS = ("#1d4ed8", "#b91c1c", "#047857", "#7c3aed")
@@ -114,9 +117,6 @@ def curve_svg(
         return _H - _MB - (ty(y) - y_lo) / y_span * (_H - _MT - _MB)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="#9ca3af"/>',
     ]
@@ -135,14 +135,8 @@ def curve_svg(
             f'font-size="13" fill="{color}">{name}</text>'
         )
     y_label = f"log10({ylabel})" if log_y else ylabel
-    parts.append(
-        f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle" font-size="13">'
-        f"{xlabel}: {_fmt(x_lo)} .. {_fmt(x_hi)}</text>"
+    return _frame(
+        title, parts,
+        f"{xlabel}: {_fmt(x_lo)} .. {_fmt(x_hi)}",
+        f"{y_label}: {_fmt(y_lo)} .. {_fmt(y_hi)}",
     )
-    parts.append(
-        f'<text x="16" y="{_H / 2}" font-size="13" '
-        f'transform="rotate(-90 16 {_H / 2})" text-anchor="middle">'
-        f"{y_label}: {_fmt(y_lo)} .. {_fmt(y_hi)}</text>"
-    )
-    parts.append("</svg>")
-    return "\n".join(parts)

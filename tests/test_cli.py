@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,7 +42,7 @@ def load_schema():
 
 class TestBounds:
     def test_ct_closed_form(self, capsys):
-        code, out, _ = run_cli(capsys, "--json", "bounds", "0.5", "0.5", "--family", "CT")
+        code, out, _ = run_cli(capsys, "--format", "json", "bounds", "0.5", "0.5", "--family", "CT")
         assert code == 0
         payload = json.loads(out)
         ref = asymptotic.ct_bounds(0.5, 0.5)
@@ -49,8 +50,9 @@ class TestBounds:
         assert payload["results"]["L"] == pytest.approx(ref.L, rel=1e-15)
 
     def test_bt_strictly_below_bct(self, capsys):
-        _, out_bt, _ = run_cli(capsys, "--json", "bounds", "0.5", "0.5", "--family", "BT")
-        _, out_bct, _ = run_cli(capsys, "--json", "bounds", "0.5", "0.5", "--family", "BCT")
+        argv = ("--format", "json", "bounds", "0.5", "0.5", "--family")
+        _, out_bt, _ = run_cli(capsys, *argv, "BT")
+        _, out_bct, _ = run_cli(capsys, *argv, "BCT")
         bt = json.loads(out_bt)["results"]
         bct = json.loads(out_bct)["results"]
         assert bt["U"] < bct["U"]
@@ -59,7 +61,7 @@ class TestBounds:
     def test_stationarity_residual_where_gamma_rounds_onto_rho(self, capsys):
         # gamma_max - rho is 0.0 in double here; the residual is taken from
         # the ln(gamma - rho) that the gamma search found.
-        _, out, _ = run_cli(capsys, "--json", "bounds", "0.05", "0.95", "--family", "BT")
+        _, out, _ = run_cli(capsys, "--format", "json", "bounds", "0.05", "0.95", "--family", "BT")
         rec = json.loads(out)["results"]
         assert rec["gamma_max"] == rec["rho"]
         assert rec["boundary_lower"] is False
@@ -67,7 +69,7 @@ class TestBounds:
         assert rec["stationarity_residual_upper"] < 1e-6
 
     def test_stationarity_residual_null_at_edge_optimum(self, capsys):
-        _, out, _ = run_cli(capsys, "--json", "bounds", "0.8", "0.8", "--family", "BT")
+        _, out, _ = run_cli(capsys, "--format", "json", "bounds", "0.8", "0.8", "--family", "BT")
         rec = json.loads(out)["results"]
         assert rec["boundary_upper"] is True
         assert rec["stationarity_residual_upper"] is None
@@ -79,8 +81,15 @@ class TestBounds:
         assert "delta" in err
 
     def test_json_envelope_validates(self, capsys):
-        _, out, _ = run_cli(capsys, "--json", "bounds", "0.3", "0.2")
+        _, out, _ = run_cli(capsys, "--format", "json", "bounds", "0.3", "0.2")
         jsonschema.validate(json.loads(out), load_schema())
+
+    def test_default_text_names_every_record_key(self, capsys):
+        argv = ("bounds", "0.8", "0.8", "--family", "BT")
+        _, text, _ = run_cli(capsys, *argv)
+        _, out, _ = run_cli(capsys, "--format", "json", *argv)
+        keys = [line.split()[0] for line in text.splitlines()]
+        assert keys == list(json.loads(out)["results"])
 
 
 class TestGrid:
@@ -136,7 +145,7 @@ class TestFinite:
         from ricbounds.finite import FiniteInstance, tail_prob_upper
 
         code, out, _ = run_cli(
-            capsys, "--json", "finite", "100", "200", "2000",
+            capsys, "--format", "json", "finite", "100", "200", "2000",
             "--epsilon", "1e-3", "--side", "upper",
         )
         assert code == 0
@@ -145,9 +154,25 @@ class TestFinite:
         assert payload["results"]["total"] == pytest.approx(ref.total, rel=1e-12)
         assert payload["results"]["log_total"] == pytest.approx(ref.log_total, rel=1e-12)
 
+    def test_csv_is_one_row_that_round_trips(self, capsys):
+        from ricbounds.finite import FiniteInstance, tail_prob_upper
+
+        code, out, _ = run_cli(capsys, "--format", "csv", "finite", "100", "200", "2000")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        ref = tail_prob_upper(FiniteInstance(100, 200, 2000, 1e-3))
+        assert float(rows[0]["log_total"]) == ref.log_total
+
     def test_invalid_instance_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "finite", "300", "200", "2000")
         assert code == 2
+
+    def test_nan_epsilon_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "finite", "100", "200", "2000", "--epsilon", "nan")
+        assert code == 2
+        assert out == ""
+        assert "epsilon" in err
 
 
 class TestEmpirical:
@@ -178,8 +203,10 @@ class TestEmpirical:
 
     @pytest.mark.parametrize(
         "bad",
-        [("--sizes", "200,abc"), ("--sizes", ""), ("--sizes", "0"), ("--restarts", "0")],
-        ids=["sizes-not-int", "sizes-empty", "sizes-zero", "restarts-zero"],
+        [("--sizes", "200,abc"), ("--sizes", ""), ("--sizes", "0"), ("--restarts", "0"),
+         ("--n", "0"), ("--k", "0"), ("--k-frac", "nan")],
+        ids=["sizes-not-int", "sizes-empty", "sizes-zero", "restarts-zero",
+             "n-zero", "k-zero", "k-frac-nan"],
     )
     def test_invalid_input_exit_code(self, capsys, bad):
         code, out, err = run_cli(capsys, "empirical", "--n", "6", *bad)
@@ -204,13 +231,23 @@ class TestPhase:
 class TestCover:
     def test_summary_record(self, capsys):
         code, out, _ = run_cli(
-            capsys, "--json", "--seed", "1", "cover",
+            capsys, "--format", "json", "--seed", "1", "cover",
             "-N", "12", "--k", "3", "--m", "6", "--trials", "10",
         )
         assert code == 0
         rec = json.loads(out)["results"]
         assert rec["u"] == 132
         assert rec["failure_frequency"] <= 1.0
+
+    def test_intermediate_bound_uses_the_drawn_u(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "cover",
+            "-N", "12", "--k", "3", "--m", "6", "--u", "20", "--trials", "2",
+        )
+        assert code == 0
+        rec = json.loads(out)["results"]
+        assert rec["u"] == 20
+        assert rec["log_bound_intermediate"] == pytest.approx(math.log(220) - 20 / 11, rel=1e-14)
 
     def test_guard_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -221,7 +258,7 @@ class TestCover:
 
     def test_universe_superset_never_fails(self, capsys):
         _, out, _ = run_cli(
-            capsys, "--json", "cover", "-N", "8", "--k", "2", "--m", "8", "--trials", "5"
+            capsys, "--format", "json", "cover", "-N", "8", "--k", "2", "--m", "8", "--trials", "5"
         )
         assert json.loads(out)["results"]["failures"] == 0
 
@@ -237,3 +274,20 @@ class TestIO:
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "not-a-number", "0.5")
         assert code == 2
+
+    def test_json_flag_is_a_usage_error(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "bounds", "0.5", "0.5")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "0.5", "0.5"),
+        ("finite", "100", "200", "2000"),
+        ("empirical", "--n", "6", "--sizes", "10", "--k", "2", "--restarts", "2"),
+        ("cover", "-N", "8", "--k", "2", "--m", "4", "--trials", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_svg_without_figure_is_a_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--format", "svg", *argv)
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err

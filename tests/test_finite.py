@@ -210,3 +210,8 @@ class TestTailBounds:
             FiniteInstance(200, 200, 2000, 1e-3)
         with pytest.raises(DomainError):
             FiniteInstance(100, 200, 2000, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(DomainError):
+            FiniteInstance(100, 200, 2000, epsilon)
