@@ -153,6 +153,27 @@ def _root(f, a, b, tol, limit, fa):
     raise SolverError(f"root search left [{a!r}, {b!r}] wider than {tol:g}")
 
 
+_WHERE = "{} {} (delta={}, rho={}, gamma={})"
+
+
+def _solve_lambda(f, foot, step, tol, limit, where):
+    """Root of f beyond its foot, where f must be >= 0; the first probe is
+    foot + step.  The root meets the 1e-12 residual or raises SolverError.
+
+    where = (side, delta, rho, gamma) names the solve in the messages; it is
+    formatted only on failure, as formatting costs a few percent of a BCT
+    point.
+    """
+    f_foot = f(foot)
+    if f_foot < 0.0:
+        raise SolverError(_WHERE.format("net exponent negative at the foot of", *where))
+    a, b = _root(f, foot, foot + step, tol, limit, f_foot)
+    root = 0.5 * (a + b)
+    if abs(f(root)) > RESIDUAL_TOL:
+        raise SolverError(_WHERE.format(f"residual above {RESIDUAL_TOL:g} at", *where))
+    return root
+
+
 def solve_lambda_max(delta: float, rho: float, gamma: float) -> float:
     """Root lambda >= 1 + gamma of the net upper-tail exponent.
 
@@ -163,25 +184,11 @@ def solve_lambda_max(delta: float, rho: float, gamma: float) -> float:
     _validate_point(delta, rho)
     if not (rho <= gamma <= 1.0 / delta):
         raise DomainError(f"gamma={gamma} outside [rho, 1/delta]")
-
-    def f(lam):
-        return _net_max_raw(lam, delta, rho, gamma)
-
     foot = 1.0 + gamma
-    f_foot = f(foot)
-    if f_foot < 0.0:
-        raise SolverError(
-            f"net exponent negative at lambda=1+gamma for "
-            f"(delta={delta}, rho={rho}, gamma={gamma})"
-        )
-    a, b = _root(f, foot, 2.0 * foot, 1e-15 * foot, _LAMBDA_CEILING, f_foot)
-    root = 0.5 * (a + b)
-    if abs(f(root)) > RESIDUAL_TOL:
-        raise SolverError(
-            f"lambda^max residual above {RESIDUAL_TOL:g} at "
-            f"(delta={delta}, rho={rho}, gamma={gamma})"
-        )
-    return root
+    return _solve_lambda(
+        lambda lam: _net_max_raw(lam, delta, rho, gamma), foot, foot, 1e-15 * foot,
+        _LAMBDA_CEILING, ("lambda^max", delta, rho, gamma),
+    )
 
 
 def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
@@ -195,25 +202,11 @@ def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
     _validate_point(delta, rho)
     if not (rho <= gamma < 1.0):
         raise DomainError(f"gamma={gamma} outside [rho, 1) for the lower bound")
-
-    def f(log_lam):
-        return _net_min_log_lambda(log_lam, delta, rho, gamma)
-
-    foot = math.log1p(-gamma)
-    f_foot = f(foot)
-    if f_foot < 0.0:
-        raise SolverError(
-            f"net exponent negative at lambda=1-gamma for "
-            f"(delta={delta}, rho={rho}, gamma={gamma})"
-        )
-    a, b = _root(f, foot, foot - 2.0, 1e-13, _LOG_FLOOR, f_foot)
-    root = 0.5 * (a + b)
-    if abs(f(root)) > RESIDUAL_TOL:
-        raise SolverError(
-            f"lambda^min residual above {RESIDUAL_TOL:g} at "
-            f"(delta={delta}, rho={rho}, gamma={gamma})"
-        )
-    return root
+    return _solve_lambda(
+        lambda log_lam: _net_min_log_lambda(log_lam, delta, rho, gamma),
+        math.log1p(-gamma), -2.0, 1e-13,
+        _LOG_FLOOR, ("lambda^min", delta, rho, gamma),
+    )
 
 
 def _first_order_max(log_lam: float, gamma: float, log_offset: float) -> float:

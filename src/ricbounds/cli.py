@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 domain error, 3 solver failure, 4 guard refusal,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -332,7 +333,7 @@ def phase_cmd(ctx, delta_steps, delta_min, delta_max, families):
 @click.option("--universe", "-N", "n_universe", type=int, required=True, help="Universe size N.")
 @click.option("--k", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@click.option("--u", type=int, default=-1, help="Supersets to draw; default ceil(r*N).")
+@click.option("--u", type=int, default=None, help="Supersets to draw, >= 0 [default: ceil(r*N)].")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--details", is_flag=True, help="Include per-trial outcomes.")
 @click.pass_context
@@ -340,24 +341,20 @@ def cover_cmd(ctx, n_universe, k, m, u, trials, details):
     """Monte-Carlo check of the random covering construction."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    plan = covering.CoveringPlan(N=n_universe, k=k, m=m, u=u)
     rng = np.random.default_rng(ctx.obj["seed"])
-    trial_seeds = [int(s) for s in rng.integers(2**63, size=trials)]
-
-    def run_trial(ts: int):
-        plan = covering.CoveringPlan(N=n_universe, k=k, m=m, seed=ts, u=u)
-        covered, uncovered = covering.random_cover(plan)
-        return plan, covered, uncovered
-
-    outcomes = [run_trial(ts) for ts in trial_seeds]
-    plan0 = outcomes[0][0]
-    failures = sum(1 for _, covered, _ in outcomes if not covered)
-    cb = covering.covering_bound(plan0)
+    uncovered = [
+        covering.random_cover(dataclasses.replace(plan, seed=int(ts)))[1]
+        for ts in rng.integers(2**63, size=trials)
+    ]
+    failures = sum(1 for unc in uncovered if unc)
+    cb = covering.covering_bound(plan)
     rec = {
         "N": n_universe,
         "k": k,
         "m": m,
-        "r": plan0.r,
-        "u": plan0.u,
+        "r": plan.r,
+        "u": plan.u,
         "trials": trials,
         "failures": failures,
         "failure_frequency": failures / trials,
@@ -367,7 +364,7 @@ def cover_cmd(ctx, n_universe, k, m, u, trials, details):
         "log_bound_intermediate": cb.log_intermediate,
     }
     if details:
-        rec["trial_uncovered_counts"] = [unc for _, _, unc in outcomes]
+        rec["trial_uncovered_counts"] = uncovered
     _emit(ctx, "cover", {"N": n_universe, "k": k, "m": m, "u": u, "trials": trials}, rec)
 
 

@@ -10,8 +10,11 @@ the failure-probability bounds.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -27,51 +30,48 @@ __all__ = [
 ]
 
 COVER_CHECK_GUARD = 10_000_000
-_EXACT_COMB_LIMIT = 2**63
 
 
 def min_group_count(N: int, k: int, m: int) -> float:
     """r = C(N,k) / C(m,k), the minimum number of m-subset groups that
     could possibly cover all k-subsets.
 
-    Exact integer arithmetic while C(N,k) fits a machine word, log-gamma
-    evaluation beyond.
+    Exact: the quotient of the two integers is rounded once, correctly, at
+    any size.  A quotient beyond the double range raises GuardError.
     """
     if not 0 < k <= m <= N:
         raise DomainError(f"require 0 < k <= m <= N, got ({N}, {k}, {m})")
-    if math.comb(N, k) <= _EXACT_COMB_LIMIT:
+    try:
         return math.comb(N, k) / math.comb(m, k)
-    log_r = (
-        math.lgamma(N + 1)
-        - math.lgamma(N - k + 1)
-        - math.lgamma(m + 1)
-        + math.lgamma(m - k + 1)
-    )
-    return math.exp(log_r)
+    except OverflowError:
+        raise GuardError(f"C({N}, {k}) / C({m}, {k}) exceeds the double range") from None
 
 
 @dataclass(frozen=True)
 class CoveringPlan:
     """Parameters of one random covering draw.
 
-    u defaults to ceil(r * N), the count for which the failure-probability
-    lemma is stated; callers may override it (fewer draws suffice when only
-    most subsets need covering).
+    u = None (the default) draws ceil(r * N) subsets, the count for which
+    the failure-probability lemma is stated; callers may give fewer (they
+    suffice when only most subsets need covering).  A negative u is a
+    DomainError.
     """
 
     N: int
     k: int
     m: int
     seed: int = 0
-    u: int = field(default=-1)
+    u: int | None = None
 
     def __post_init__(self):
         if not 0 < self.k <= self.m <= self.N:
             raise DomainError(
                 f"require 0 < k <= m <= N, got ({self.N}, {self.k}, {self.m})"
             )
-        if self.u < 0:
+        if self.u is None:
             object.__setattr__(self, "u", math.ceil(self.r * self.N))
+        elif self.u < 0:
+            raise DomainError(f"u must be >= 0, got {self.u}")
 
     @property
     def r(self) -> float:
@@ -79,14 +79,13 @@ class CoveringPlan:
 
 
 def random_cover(plan: CoveringPlan) -> tuple[bool, int]:
-    """Draw the plan's u uniform m-subsets and test whether every k-subset
-    of {0..N-1} is contained in at least one of them.
+    """Draw the plan's u uniform m-subsets and count the k-subsets of
+    {0..N-1} that lie in none of them; returns (covered, uncovered_count).
 
-    Returns (covered, uncovered_count).  Every subset is checked, as a
-    bitmask in lexicographic order, so that all uncovered ones are counted;
-    guarded at C(N,k) <= 1e7.
-    Coverage is monotone in u for a fixed seed: the first u' > u draws
-    extend the first u.
+    holders[c] has bit j set when draw j holds column c, so a k-subset is
+    covered exactly when the AND of its columns' holders is nonzero.  All
+    C(N,k) subsets are checked, guarded at C(N,k) <= 1e7.  Coverage is
+    monotone in u for a fixed seed: the first u' > u draws extend the first u.
     """
     count = math.comb(plan.N, plan.k)
     if count > COVER_CHECK_GUARD:
@@ -95,23 +94,14 @@ def random_cover(plan: CoveringPlan) -> tuple[bool, int]:
             f"check guard of {COVER_CHECK_GUARD}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    masks = []
-    for _ in range(plan.u):
-        cols = rng.choice(plan.N, size=plan.m, replace=False)
-        mask = 0
-        for c in cols:
-            mask |= 1 << int(c)
-        masks.append(mask)
-
-    uncovered = 0
-    from itertools import combinations
-
-    for subset in combinations(range(plan.N), plan.k):
-        sub_mask = 0
-        for c in subset:
-            sub_mask |= 1 << c
-        if not any(sub_mask & ~m == 0 for m in masks):
-            uncovered += 1
+    holders = [0] * plan.N
+    for j in range(plan.u):
+        for c in rng.choice(plan.N, size=plan.m, replace=False):
+            holders[c] |= 1 << j
+    uncovered = sum(
+        not functools.reduce(operator.and_, subset)
+        for subset in combinations(holders, plan.k)
+    )
     return uncovered == 0, uncovered
 
 
@@ -129,12 +119,11 @@ class CoveringBound:
 
     @property
     def envelope(self) -> float:
-        return math.exp(self.log_envelope) if self.log_envelope > -745.0 else 0.0
+        return math.exp(self.log_envelope)
 
     @property
     def intermediate(self) -> float:
-        v = self.log_intermediate
-        return math.exp(v) if v > -745.0 else 0.0
+        return math.exp(self.log_intermediate)
 
 
 def covering_bound(plan: CoveringPlan) -> CoveringBound:

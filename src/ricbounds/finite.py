@@ -91,16 +91,15 @@ class TailBound:
 
     @property
     def eig_term(self) -> float:
-        return math.exp(self.log_eig_term) if self.log_eig_term > -745.0 else 0.0
+        return math.exp(self.log_eig_term)
 
     @property
     def cover_term(self) -> float:
-        return math.exp(self.log_cover_term) if self.log_cover_term > -745.0 else 0.0
+        return math.exp(self.log_cover_term)
 
     @property
     def total(self) -> float:
-        log_t = min(self.log_total, 0.0)
-        return math.exp(log_t) if log_t > -745.0 else 0.0
+        return math.exp(min(self.log_total, 0.0))
 
 
 def log_g_max_pdf_bound(m: int, n: int, lam: float) -> float:
@@ -173,8 +172,7 @@ def log_covering_failure_bound(k: int, N: int) -> float:
 
 
 def covering_failure_bound(k: int, N: int) -> float:
-    log_v = log_covering_failure_bound(k, N)
-    return math.exp(log_v) if log_v > -745.0 else 0.0
+    return math.exp(log_covering_failure_bound(k, N))
 
 
 def _sqrt_factor_log(inst: FiniteInstance, gamma: float, log_offset: float) -> float:
@@ -283,7 +281,7 @@ def tail_prob_lower(inst: FiniteInstance) -> TailBound:
     return TailBound(
         side="lower",
         instance=inst,
-        lambda_star=math.exp(log_lam) if log_lam > -745.0 else 0.0,
+        lambda_star=math.exp(log_lam),
         log_lambda_star=log_lam,
         gamma_used=gamma,
         psi_derivative=-psi_prime,

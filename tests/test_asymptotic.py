@@ -64,6 +64,15 @@ class TestLambdaSolvers:
         assert log_lam <= math.log1p(-g)
         assert abs(_net_min_log_lambda(log_lam, d, r, g)) < 1e-12
 
+    def test_failures_name_the_solve(self, monkeypatch):
+        monkeypatch.setattr(asymptotic, "_net_max_raw", lambda lam, d, r, g: -1.0)
+        with pytest.raises(SolverError, match=r"negative at the foot of lambda\^max \(delta=0.5, rho=0.3, gamma=0.4\)"):
+            solve_lambda_max(0.5, 0.3, 0.4)
+        # A jump, not a root: the bracket closes but the residual stays 1.
+        monkeypatch.setattr(asymptotic, "_net_min_log_lambda", lambda x, d, r, g: 1.0 if x > -1.0 else -1.0)
+        with pytest.raises(SolverError, match=r"residual above 1e-12 at lambda\^min \(delta=0.5, rho=0.3, gamma=0.4\)"):
+            solve_lambda_min(0.5, 0.3, 0.4)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             solve_lambda_max(0.5, 0.5, 0.4)

@@ -256,6 +256,18 @@ class TestCover:
         assert code == 4
         assert "guard" in err
 
+    def test_negative_u_exit_code(self, capsys):
+        code, out, _ = run_cli(capsys, "cover", "-N", "12", "--k", "3", "--m", "6", "--u", "-5")
+        assert code == 2
+        assert out == ""
+
+    def test_group_count_beyond_double_range_exit_code(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cover", "-N", "8000", "--k", "400", "--m", "800", "--trials", "1"
+        )
+        assert code == 4
+        assert out == ""
+
     def test_universe_superset_never_fails(self, capsys):
         _, out, _ = run_cli(
             capsys, "--format", "json", "cover", "-N", "8", "--k", "2", "--m", "8", "--trials", "5"

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ class TestMinGroupCount:
         assert min_group_count(10, 3, 5) == pytest.approx(12.0, rel=1e-15)
 
     def test_log_space_path_matches_exact(self):
-        # Large enough that C(N,k) exceeds 2^63, small enough for math.comb.
+        # C(N,k) exceeds 2^63; the integer quotient is still rounded once.
         N, k, m = 300, 40, 80
-        exact = math.comb(N, k) / math.comb(m, k)
-        assert min_group_count(N, k, m) == pytest.approx(exact, rel=1e-9)
+        assert min_group_count(N, k, m) == math.comb(N, k) / math.comb(m, k)
+
+    def test_beyond_double_range_is_a_guard_error(self):
+        with pytest.raises(GuardError):
+            min_group_count(8000, 400, 800)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -43,8 +47,35 @@ class TestPlan:
     def test_explicit_u_kept(self):
         assert CoveringPlan(N=12, k=3, m=6, seed=0, u=7).u == 7
 
+    def test_negative_u_rejected(self):
+        with pytest.raises(DomainError):
+            CoveringPlan(N=12, k=3, m=6, seed=0, u=-5)
+
+
+def _oracle_uncovered(plan: CoveringPlan) -> int:
+    """The k-subsets of {0..N-1} in none of the plan's draws, by set
+    containment over the same rng.choice sequence random_cover draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
+    draws = [set(rng.choice(plan.N, size=plan.m, replace=False).tolist()) for _ in range(plan.u)]
+    return sum(
+        1
+        for subset in combinations(range(plan.N), plan.k)
+        if not any(set(subset) <= draw for draw in draws)
+    )
+
 
 class TestRandomCover:
+    @pytest.mark.parametrize("N,k,m", [
+        (6, 2, 3), (7, 3, 7), (8, 3, 5), (9, 3, 3), (10, 2, 4), (12, 3, 6), (14, 4, 7),
+    ])
+    @pytest.mark.parametrize("u_kind", ["default", "zero", "ceil_r"])
+    def test_uncovered_count_matches_set_oracle(self, N, k, m, u_kind):
+        u = {"default": None, "zero": 0, "ceil_r": math.ceil(min_group_count(N, k, m))}[u_kind]
+        for seed in range(5):
+            plan = CoveringPlan(N=N, k=k, m=m, seed=seed, u=u)
+            expected = _oracle_uncovered(plan)
+            assert random_cover(plan) == (expected == 0, expected)
+
     def test_universe_superset_always_covers(self):
         covered, uncovered = random_cover(CoveringPlan(N=8, k=2, m=8, seed=5, u=1))
         assert covered and uncovered == 0
