@@ -196,8 +196,9 @@ def grid(ctx, delta_min, delta_max, delta_steps, rho_min, rho_max, rho_steps, fa
         {c: rec.get(c) for c in GRID_COLUMNS}
         for rec in map(_bound_record, bounds_list)
     ]
+    # The heatmap draws the first family, whose points lead bounds_list.
     surface = [
-        [bounds_list[(0 * len(deltas) + i) * len(rhos) + j].U for i in range(len(deltas))]
+        [bounds_list[i * len(rhos) + j].U for i in range(len(deltas))]
         for j in range(len(rhos))
     ]
     params = {

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .asymptotic import (
+    GammaOptimum,
     optimize_gamma_for_max,
     optimize_gamma_for_min,
 )
@@ -69,12 +70,11 @@ class TailBound:
     total is the final probability, clamped to [0, 1]; log_total is the
     unclamped log value.  eig_term / cover_term are the two summands in
     linear form (exponentiated from their log fields, 0.0 on underflow).
-    psi_derivative is the coefficient multiplying n*epsilon in the slack
-    exponent; it is negative for both tails, so total decreases in epsilon.
-    log_prefactor_proof and log_prefactor_stated carry the two published
-    variants of the polynomial prefactor (they differ by gamma^(1/2) on
-    the upper tail and coincide on the lower); the proof-derived form is
-    the one used in eig_term.
+    psi_derivative is the signed coefficient of n*epsilon in the slack
+    exponent as applied, negative on both sides, so total decreases in
+    epsilon.  log_prefactor_proof is the proof-derived polynomial prefactor
+    used in eig_term; log_prefactor_stated, the other published variant, is
+    derived from it: gamma^(1/2) larger on the upper side, equal on the lower.
     """
 
     side: str
@@ -84,10 +84,14 @@ class TailBound:
     gamma_used: float
     psi_derivative: float
     log_prefactor_proof: float
-    log_prefactor_stated: float
     log_eig_term: float
     log_cover_term: float
     log_total: float
+
+    @property
+    def log_prefactor_stated(self) -> float:
+        extra = 0.5 * math.log(self.gamma_used) if self.side == "upper" else 0.0
+        return self.log_prefactor_proof + extra
 
     @property
     def eig_term(self) -> float:
@@ -175,32 +179,14 @@ def covering_failure_bound(k: int, N: int) -> float:
     return math.exp(log_covering_failure_bound(k, N))
 
 
-def _sqrt_factor_log(inst: FiniteInstance, gamma: float, log_offset: float) -> float:
-    """Log of (n N (gamma - rho) / (gamma delta (1 - rho delta)))^(1/2).
-
-    log_offset = ln(gamma - rho) as the gamma search carried it: gamma - rho
-    recomputed from gamma rounds to 0.0 where the optimum sits within one
-    ulp of rho.
-    """
-    delta, rho = inst.delta_n, inst.rho_n
-    if log_offset == -math.inf:
-        raise DomainError(
-            f"degenerate group ratio gamma={gamma} equals rho={rho}; "
-            "the tail prefactor divides by gamma - rho"
-        )
-    return 0.5 * (
-        math.log(inst.n * inst.N / (gamma * delta * (1.0 - rho * delta))) + log_offset
-    )
-
-
 def tail_prob_upper(inst: FiniteInstance) -> TailBound:
     """Bound on P(U(k,n,N) exceeds the asymptotic upper bound + epsilon).
 
     lambda* and gamma are the upper-side optimized solution evaluated at
     the finite ratios (delta_n, rho_n).  The eigenvalue term is
     prefactor * exp(N * net exponent at lambda*) * exp(n eps psi'(lambda*))
-    with the net exponent vanishing at the root by construction; the
-    covering failure probability is added on top.
+    with the net exponent vanishing at the root and psi' = psi_derivative
+    < 0; the covering failure probability is added on top.
 
     Caveat: the result lies below the union bound that its own pieces
     define, N C(N,k)/C(m,k) times the integral of g_max_pdf_bound over
@@ -215,9 +201,7 @@ def tail_prob_upper(inst: FiniteInstance) -> TailBound:
     delta, rho = inst.delta_n, inst.rho_n
     opt = optimize_gamma_for_max(delta, rho)
     gamma, lam = opt.gamma, opt.value
-    sqrt_log = _sqrt_factor_log(inst, gamma, opt.log_offset)
-
-    # Polynomial prefactor in front of the exponential rate, proof form:
+    # Proof-form polynomial prefactor; _tail_bound adds its sqrt-factor:
     # 2 lam (5/4)^3 sqrt-factor * (8/pi)^(1/2) gamma^(-1) n^(-7/2) lam^(-3/2).
     log_pmax = (
         0.5 * math.log(8.0 / math.pi)
@@ -225,27 +209,10 @@ def tail_prob_upper(inst: FiniteInstance) -> TailBound:
         - 3.5 * math.log(inst.n)
         - 1.5 * math.log(lam)
     )
-    log_pref_proof = math.log(2.0) + math.log(lam) + _LOG_54_CUBED + sqrt_log + log_pmax
-    log_pref_stated = log_pref_proof + 0.5 * math.log(gamma)
-
-    psi_prime = 0.5 * ((1.0 + gamma) / lam - 1.0)
-    log_eig = log_pref_proof + inst.N * _net_max_raw(lam, delta, rho, gamma)
-    log_eig += inst.n * inst.epsilon * psi_prime
-    log_cover = log_covering_failure_bound(inst.k, inst.N)
-
-    return TailBound(
-        side="upper",
-        instance=inst,
-        lambda_star=lam,
-        log_lambda_star=math.log(lam),
-        gamma_used=gamma,
-        psi_derivative=psi_prime,
-        log_prefactor_proof=log_pref_proof,
-        log_prefactor_stated=log_pref_stated,
-        log_eig_term=log_eig,
-        log_cover_term=log_cover,
-        log_total=_log_add(log_eig, log_cover),
-    )
+    log_pref = math.log(2.0) + math.log(lam) + _LOG_54_CUBED + log_pmax
+    slope = 0.5 * ((1.0 + gamma) / lam - 1.0)
+    return _tail_bound("upper", inst, opt, lam, math.log(lam), log_pref,
+                       _net_max_raw(lam, delta, rho, gamma), slope)
 
 
 def tail_prob_lower(inst: FiniteInstance) -> TailBound:
@@ -254,39 +221,47 @@ def tail_prob_lower(inst: FiniteInstance) -> TailBound:
     Mirrors tail_prob_upper with the lower-side solution.  The slack
     exponent uses psi'(lambda) = (1/2)[(1 - gamma)/lambda - 1], which is
     positive at lambda* < 1 - gamma; larger epsilon means a smaller lambda
-    level and a smaller tail, so the slack factor is exp(-n eps psi').
-    psi_derivative stores the signed coefficient -psi' actually applied.
+    level and a smaller tail, so the slack factor is exp(-n eps psi') and
+    psi_derivative is -psi'.
     """
     delta, rho = inst.delta_n, inst.rho_n
     opt = optimize_gamma_for_min(delta, rho)
     gamma, log_lam = opt.gamma, opt.value
-    sqrt_log = _sqrt_factor_log(inst, gamma, opt.log_offset)
-
     # One published form only: (5/4)^3 e sqrt(lam) / (pi sqrt(2)) * sqrt-factor.
-    log_pref = (
-        _LOG_54_CUBED
-        + 1.0
-        + 0.5 * log_lam
-        - math.log(math.pi)
-        - 0.5 * math.log(2.0)
-        + sqrt_log
-    )
-
+    log_pref = _LOG_54_CUBED + 1.0 + 0.5 * log_lam - math.log(math.pi) - 0.5 * math.log(2.0)
     inv_lam = math.exp(-log_lam) if log_lam > -709.0 else math.inf
-    psi_prime = 0.5 * ((1.0 - gamma) * inv_lam - 1.0)
-    log_eig = log_pref + inst.N * _net_min_log_lambda(log_lam, delta, rho, gamma)
-    log_eig -= inst.n * inst.epsilon * psi_prime
-    log_cover = log_covering_failure_bound(inst.k, inst.N)
+    slope = -0.5 * ((1.0 - gamma) * inv_lam - 1.0)
+    return _tail_bound("lower", inst, opt, math.exp(log_lam), log_lam, log_pref,
+                       _net_min_log_lambda(log_lam, delta, rho, gamma), slope)
 
+
+def _tail_bound(side: str, inst: FiniteInstance, opt: GammaOptimum, lam: float,
+                log_lam: float, log_pref: float, net: float, slope: float) -> TailBound:
+    """One side's TailBound from its prefactor, net exponent and slope.
+
+    Adds the factor (n N (gamma - rho) / (gamma delta (1 - rho delta)))^(1/2)
+    to log_pref with ln(gamma - rho) = opt.log_offset, as the gamma search
+    carried it: recomputed from gamma it is -inf where gamma rounds onto rho.
+    """
+    delta, rho, gamma = inst.delta_n, inst.rho_n, opt.gamma
+    if opt.log_offset == -math.inf:
+        raise DomainError(
+            f"degenerate group ratio gamma={gamma} equals rho={rho}; the Stirling "
+            "bracket of C(m, k) behind the tail prefactor holds only for m > k"
+        )
+    log_pref += 0.5 * (
+        math.log(inst.n * inst.N / (gamma * delta * (1.0 - rho * delta))) + opt.log_offset
+    )
+    log_eig = log_pref + inst.N * net + inst.n * inst.epsilon * slope
+    log_cover = log_covering_failure_bound(inst.k, inst.N)
     return TailBound(
-        side="lower",
+        side=side,
         instance=inst,
-        lambda_star=math.exp(log_lam),
+        lambda_star=lam,
         log_lambda_star=log_lam,
         gamma_used=gamma,
-        psi_derivative=-psi_prime,
+        psi_derivative=slope,
         log_prefactor_proof=log_pref,
-        log_prefactor_stated=log_pref,
         log_eig_term=log_eig,
         log_cover_term=log_cover,
         log_total=_log_add(log_eig, log_cover),

@@ -168,6 +168,14 @@ class TestFinite:
         code, _, _ = run_cli(capsys, "finite", "300", "200", "2000")
         assert code == 2
 
+    def test_degenerate_lower_tail_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys, "finite", "999999999", "1000000000", "2000000000", "--side", "lower"
+        )
+        assert code == 2
+        assert out == ""
+        assert "degenerate group ratio" in err
+
     def test_nan_epsilon_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "finite", "100", "200", "2000", "--epsilon", "nan")
         assert code == 2

@@ -15,7 +15,7 @@ from ricbounds.finite import (
     tail_prob_lower,
     tail_prob_upper,
 )
-from ricbounds.rates import psi_max, psi_min
+from ricbounds.rates import _net_max_raw, _net_min_log_lambda, psi_max, psi_min
 
 mpmath.mp.dps = 50
 
@@ -205,6 +205,33 @@ class TestTailBounds:
                 assert math.isfinite(v)
             assert 0.0 <= tb.total <= 1.0
 
+    def test_lower_tail_refuses_gamma_equal_to_rho(self):
+        # The lower gamma search returns ln(gamma - rho) = -inf here; the
+        # Stirling bracket behind the prefactor needs m > k, so the lower
+        # tail is refused while the upper side (gamma = 1/delta) is finite.
+        inst = FiniteInstance(10**9 - 1, 10**9, 2 * 10**9, 1e-3)
+        with pytest.raises(DomainError, match="degenerate group ratio"):
+            tail_prob_lower(inst)
+        tb = tail_prob_upper(inst)
+        assert tb.gamma_used == 2.0
+        for v in (tb.log_prefactor_proof, tb.log_eig_term, tb.log_total):
+            assert math.isfinite(v)
+
+    @pytest.mark.parametrize("tail", [tail_prob_upper, tail_prob_lower])
+    def test_log_eig_term_is_prefactor_plus_net_plus_slack(self, tail):
+        insts = INSTANCES if tail is tail_prob_upper else [FiniteInstance(100, 200, 2000, 1e-5)]
+        for inst in insts:
+            tb = tail(inst)
+            args = (inst.delta_n, inst.rho_n, tb.gamma_used)
+            if tail is tail_prob_upper:
+                net = _net_max_raw(tb.lambda_star, *args)
+            else:
+                net = _net_min_log_lambda(tb.log_lambda_star, *args)
+            expected = (
+                tb.log_prefactor_proof + inst.N * net + inst.n * inst.epsilon * tb.psi_derivative
+            )
+            assert tb.log_eig_term == pytest.approx(expected, abs=1e-12)
+
     def test_instance_validation(self):
         with pytest.raises(DomainError):
             FiniteInstance(200, 200, 2000, 1e-3)
@@ -215,3 +242,36 @@ class TestTailBounds:
     def test_non_finite_epsilon_rejected(self, epsilon):
         with pytest.raises(DomainError):
             FiniteInstance(100, 200, 2000, epsilon)
+
+
+# Recorded from the implementation that preceded the shared tail body, so
+# that restructuring the assembly cannot move the published numbers.  On
+# the two rows where gamma rounds onto rho the linearised slack drives
+# log_eig_term to ~-1e67, so abs=1e-12 asks for the same double there.
+PINNED_TAILS = [
+    (tail_prob_upper, (100, 200, 2000, 1e-3),
+     0.6960364464198616, 2.171849608414388, -10.525421123707895, -10.525421123707895),
+    (tail_prob_upper, (200, 400, 4000, 1e-3),
+     0.6960364464198616, 2.171849608414388, -12.338959919595107, -12.338959919595107),
+    (tail_prob_upper, (400, 800, 8000, 1e-3),
+     0.6960364464198616, 2.171849608414388, -14.23316955996967, -14.23316955996967),
+    (tail_prob_lower, (100, 200, 2000, 1e-5),
+     0.5029199345349209, -11.00842360941057, -30.28697709409864, -30.28697709409864),
+    (tail_prob_lower, (200, 400, 4000, 1e-5),
+     0.5029199345349209, -11.00842360941057, -59.60683659494428, -59.60683659494428),
+    (tail_prob_lower, (400, 800, 8000, 1e-5),
+     0.5029199345349209, -11.00842360941057, -118.9397027771955, -118.9397027771955),
+    (tail_prob_lower, (95, 100, 2000, 1e-3),
+     0.95, -160.83586977198604, -1.7703973170003052e+67, -616.6540397218095),
+    (tail_prob_lower, (190, 200, 1000, 1e-3),
+     0.95, -105.21063007282979, -2.4624424113523384e+43, -310.06676594236757),
+]
+
+
+@pytest.mark.parametrize("tail,size,gamma,log_lam,log_eig,log_total", PINNED_TAILS)
+def test_pinned_tail_values(tail, size, gamma, log_lam, log_eig, log_total):
+    tb = tail(FiniteInstance(*size))
+    assert tb.gamma_used == gamma
+    assert tb.log_lambda_star == log_lam
+    assert tb.log_eig_term == pytest.approx(log_eig, abs=1e-12)
+    assert tb.log_total == pytest.approx(log_total, abs=1e-12)
