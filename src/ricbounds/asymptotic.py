@@ -117,40 +117,57 @@ def _root(f, a, b, tol, limit, fa):
 
     b is the first probe on the far side of a.  While f(b) > 0 the bracket
     moves on, doubling its step each time and stopping at limit; no sign
-    change there raises SolverError.  Regula falsi with the Illinois step
-    (halve the stale end's value when one end is kept twice), falling back
-    to the midpoint, then narrows the bracket until |b - a| <= tol or the
-    ends are adjacent doubles.  Returns (a, b) with f(a) > 0 >= f(b); b may
-    lie on either side of a.
+    change there raises SolverError.  Chandrupatla's method (Adv. Eng.
+    Software 28, 1997) then narrows the bracket [x1, x2], x1 the newest
+    point and x3 the end it displaced: an inverse-quadratic step through the
+    three where their shape passes Chandrupatla's test, else the midpoint.
+    Every step lands at least max(tol/2, 2 ulp) inside the bracket, and a
+    newest f = 0 steps exactly that far toward the other end, as a root at
+    x1 is not yet a bracket (if f(x3) = 0 too, f is flat at zero there and
+    the step bisects).  A step that rounds onto an end takes the midpoint,
+    and the search stops when |b - a| <= tol or the midpoint rounds onto an
+    end (adjacent doubles).  Returns (a, b) with f(a) > 0 >= f(b); b may lie
+    on either side of a.
     """
     if not fa > 0.0:
         raise SolverError(f"root search needs f > 0 at its start {a!r}, got {fa!r}")
     fb = f(b)
+    c, fc = a, fa
     while fb > 0.0:
         if b == limit:
             raise SolverError(f"no sign change between {a!r} and the limit {limit!r}")
-        a, fa, b = b, fb, b + 2.0 * (b - a)
+        c, fc, a, fa, b = a, fa, b, fb, b + 2.0 * (b - a)
         b = min(b, limit) if limit > a else max(b, limit)
         fb = f(b)
-    kept = None
+    # With no expansion x3 = x1, which fails the test: the first step bisects.
+    x1, f1, x2, f2, x3, f3 = a, fa, b, fb, c, fc
     for _ in range(_ROOT_STEPS):
-        if abs(b - a) <= tol:
-            return a, b
-        c = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < c < max(a, b):
-            c = 0.5 * (a + b)
-            if c == a or c == b:
-                return a, b
-        fc = f(c)
-        if fc > 0.0:
-            if kept == "b":
-                fb *= 0.5
-            a, fa, kept = c, fc, "b"
+        dx = x2 - x1
+        if abs(dx) <= tol:
+            break
+        t_min = max(0.5 * tol, 2.0 * math.ulp(x1)) / abs(dx)
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        if f1 == 0.0 and f3 != 0.0:
+            t = 0.0  # raised to t_min below
+        elif phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                 - (x3 - x1) / dx * f1 / (f3 - f1) * f2 / (f2 - f3))
         else:
-            if kept == "a":
-                fa *= 0.5
-            b, fb, kept = c, fc, "a"
-    raise SolverError(f"root search left [{a!r}, {b!r}] wider than {tol:g}")
+            t = 0.5
+        x = x1 + (min(max(t, t_min), 1.0 - t_min) if t_min < 0.5 else 0.5) * dx
+        if x == x1 or x == x2:
+            x = 0.5 * (x1 + x2)
+            if x == x1 or x == x2:
+                break
+        fx = f(x)
+        if (fx > 0.0) == (f1 > 0.0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+    else:
+        raise SolverError(f"root search left [{x1!r}, {x2!r}] wider than {tol:g}")
+    return (x1, x2) if f1 > 0.0 else (x2, x1)
 
 
 _WHERE = "{} {} (delta={}, rho={}, gamma={})"
@@ -169,8 +186,10 @@ def _solve_lambda(f, foot, step, tol, limit, where):
         raise SolverError(_WHERE.format("net exponent negative at the foot of", *where))
     a, b = _root(f, foot, foot + step, tol, limit, f_foot)
     root = 0.5 * (a + b)
-    if abs(f(root)) > RESIDUAL_TOL:
-        raise SolverError(_WHERE.format(f"residual above {RESIDUAL_TOL:g} at", *where))
+    residual = abs(f(root))
+    if residual > RESIDUAL_TOL:
+        msg = _WHERE.format(f"residual above {RESIDUAL_TOL:g} at", *where)
+        raise SolverError(f"{msg}: |f| = {residual:g} at {root!r}, bracket [{a!r}, {b!r}]")
     return root
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import pytest
@@ -31,6 +32,23 @@ def mp_net_max(lam, d, r, g):
     H = lambda p: -p * mpmath.log(p) - (1 - p) * mpmath.log(1 - p)
     psi = 0.5 * ((1 + g) * mpmath.log(lam) - g * mpmath.log(g) + 1 + g - lam)
     return d * psi + H(r * d) - d * g * H(r / g)
+
+
+@pytest.fixture
+def net_calls(monkeypatch):
+    """Counts net-exponent evaluations made through asymptotic's imports."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(asymptotic, "_net_max_raw", counted(_net_max_raw))
+    monkeypatch.setattr(asymptotic, "_net_min_log_lambda", counted(_net_min_log_lambda))
+    return calls
 
 
 class TestLambdaSolvers:
@@ -70,8 +88,12 @@ class TestLambdaSolvers:
             solve_lambda_max(0.5, 0.3, 0.4)
         # A jump, not a root: the bracket closes but the residual stays 1.
         monkeypatch.setattr(asymptotic, "_net_min_log_lambda", lambda x, d, r, g: 1.0 if x > -1.0 else -1.0)
-        with pytest.raises(SolverError, match=r"residual above 1e-12 at lambda\^min \(delta=0.5, rho=0.3, gamma=0.4\)"):
+        with pytest.raises(SolverError, match=r"residual above 1e-12 at lambda\^min \(delta=0.5, rho=0.3, gamma=0.4\)") as err:
             solve_lambda_min(0.5, 0.3, 0.4)
+        # The message also names the residual, the root and the final bracket.
+        m = re.search(r"\): \|f\| = 1 at (\S+), bracket \[(\S+), (\S+)\]$", str(err.value))
+        root, a, b = map(float, m.groups())
+        assert a > -1.0 >= b and root == 0.5 * (a + b)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -119,22 +141,54 @@ class TestRoot:
         with pytest.raises(SolverError, match="wider than"):
             self.root(math.cos, 0.0, 3.0, 1e-14, 10.0)
 
-    def test_lambda_roots_take_few_evaluations(self, monkeypatch):
-        calls = [0]
-
-        def counted(fn):
-            def wrapper(*args):
-                calls[0] += 1
-                return fn(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(asymptotic, "_net_max_raw", counted(_net_max_raw))
-        monkeypatch.setattr(asymptotic, "_net_min_log_lambda", counted(_net_min_log_lambda))
+    def test_lambda_roots_take_few_evaluations(self, net_calls):
         for solve in (solve_lambda_max, solve_lambda_min):
-            calls[0] = 0
+            net_calls[0] = 0
             solve(0.5, 0.5, 0.7)
-            assert calls[0] <= 20
+            assert net_calls[0] <= 20
+
+    def test_exact_zero_with_tolerance_below_one_ulp(self):
+        # f hits 0 exactly at 2 and tol is far below the spacing of doubles
+        # there: the search has to stop at adjacent doubles, not creep.
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return 2.0 - x
+
+        a, b = _root(f, 0.0, 1.0, 1e-300, 100.0, 2.0)
+        assert len(xs) <= 10
+        assert f(a) > 0.0 >= f(b)
+        assert math.nextafter(a, b) == b and a < 2.0 <= b
+
+    SHAPES = {
+        "linear": lambda y: y,
+        "cubic": lambda y: y**3,
+        "cbrt": lambda y: math.copysign(abs(y) ** (1 / 3), y),
+        "tanh": math.tanh,
+        # Flat, then a cliff: the shape of the BT gamma search at small rho.
+        "cliff": lambda y: min(0.017, 1e4 * y),
+        "zero_run": lambda y: max(y, 0.0),
+    }
+
+    @given(
+        st.floats(min_value=1e-2, max_value=1e3).flatmap(lambda m: st.sampled_from([m, -m])),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.sampled_from(sorted(SHAPES)),
+        st.sampled_from([1.0, -1.0]),
+        st.integers(min_value=3, max_value=300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_contract_on_monotone_functions(self, r, dist, step, shape, s, e):
+        # f > 0 on the side of r that a starts on; tol 10^-e goes from 1e-3
+        # to far below one ulp of r.
+        g = self.SHAPES[shape]
+        f = lambda x: g(s * (r - x))
+        tol, a0 = 10.0**-e, r - s * dist
+        a, b = self.root(f, a0, a0 + s * step, tol, r + s * 1e6)
+        assert f(a) > 0.0 >= f(b)
+        assert abs(b - a) <= tol or math.nextafter(a, b) == b
 
 
 class TestGammaOptimizers:
@@ -224,20 +278,15 @@ class TestGammaOptimizers:
         assert b.log_lambda_min >= bct_bounds(d, r).log_lambda_min - 1e-13
 
     @pytest.mark.parametrize("d, r", [(0.5, 0.5), (0.05, 0.95), (0.001, 0.001), (0.5, 0.999)])
-    def test_bt_takes_few_evaluations(self, d, r, monkeypatch):
-        calls = [0]
-
-        def counted(fn):
-            def wrapper(*args):
-                calls[0] += 1
-                return fn(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(asymptotic, "_net_max_raw", counted(_net_max_raw))
-        monkeypatch.setattr(asymptotic, "_net_min_log_lambda", counted(_net_min_log_lambda))
+    def test_bt_takes_few_evaluations(self, d, r, net_calls):
         bt_bounds(d, r)
-        assert calls[0] <= 250
+        assert net_calls[0] <= 100
+
+    def test_small_rho_gamma_search_takes_few_evaluations(self, net_calls):
+        # The first-order exponent is flat at +0.017, then drops to -1.8e4.
+        g = optimize_gamma_for_max(0.5, 0.003)
+        assert net_calls[0] <= 30
+        assert abs(_net_max_raw(g.value, 0.5, 0.003, g.gamma)) <= 1e-12
 
     @pytest.mark.parametrize("d, r", [(0.1, 0.5), (0.8, 0.8)])
     def test_each_optimizer_solves_lambda_once(self, d, r, monkeypatch):
@@ -334,3 +383,9 @@ class TestPhaseTransition:
 
     def test_bt_above_bct(self):
         assert l1_phase_transition(0.3, "BT") >= l1_phase_transition(0.3, "BCT")
+
+    @pytest.mark.parametrize("family, ceiling", [("BT", 700), ("BCT", 450)])
+    @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
+    def test_phase_takes_few_evaluations(self, d, family, ceiling, net_calls):
+        l1_phase_transition(d, family)
+        assert net_calls[0] <= ceiling
