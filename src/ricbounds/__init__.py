@@ -31,9 +31,6 @@ from .errors import (
 from .finite import (
     FiniteInstance,
     TailBound,
-    covering_failure_bound,
-    g_max_pdf_bound,
-    g_min_pdf_bound,
     tail_prob_lower,
     tail_prob_upper,
 )
@@ -58,11 +55,8 @@ __all__ = [
     "bt_bounds",
     "compute_bounds",
     "covering_bound",
-    "covering_failure_bound",
     "ct_bounds",
     "exhaustive_ric",
-    "g_max_pdf_bound",
-    "g_min_pdf_bound",
     "gram_extreme_eigs",
     "l1_phase_transition",
     "local_search",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
-from .rates import _net_max_raw, _net_min_log_lambda, shannon_entropy
+from .rates import _net_max_raw, _net_min_log_lambda, _validate_point, shannon_entropy
 
 __all__ = [
     "AsymptoticBound",
@@ -103,13 +103,6 @@ class GammaOptimum:
     value: float
     at_boundary: bool
     log_offset: float
-
-
-def _validate_point(delta: float, rho: float) -> None:
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must be in (0,1), got {delta}")
-    if not (0.0 < rho < 1.0):
-        raise DomainError(f"rho must be in (0,1), got {rho}")
 
 
 def _root(f, a, b, tol, limit, fa):

@@ -116,6 +116,8 @@ def cli(ctx, out, seed, fmt):
     empirical estimates, covering simulations, and recovery phase curves."""
     if fmt == "svg" and ctx.invoked_subcommand not in ("grid", "phase"):
         raise DomainError(f"--format svg draws grid and phase only, not {ctx.invoked_subcommand}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     ctx.obj = {
         "out": out,
         "seed": seed,
@@ -251,7 +253,7 @@ EMPIRICAL_COLUMNS = ["n", "N", "k", "U_est", "L_est", "U_theory", "L_theory",
 @click.option("--n", "n_rows", type=int, default=100, show_default=True)
 @click.option("--sizes", default="200,400", show_default=True, help="Comma-separated N values.")
 @click.option("--k-frac", type=float, default=0.05, show_default=True,
-              help="Sparsity rule: k = max(1, round(k_frac * n)).")
+              help="Sparsity rule, 0 < k_frac < 1: k = max(1, round(k_frac * n)).")
 @click.option("--k", "k_fixed", type=int, default=None, help="Fixed k overriding --k-frac.")
 @click.option("--restarts", type=int, default=100, show_default=True)
 @click.pass_context
@@ -272,8 +274,8 @@ def empirical_cmd(ctx, n_rows, sizes, k_frac, k_fixed, restarts):
         raise DomainError(f"n must be >= 1, got {n_rows}")
     if k_fixed is not None and k_fixed < 1:
         raise DomainError(f"k must be >= 1, got {k_fixed}")
-    if not math.isfinite(k_frac):
-        raise DomainError(f"k-frac must be finite, got {k_frac}")
+    if not 0.0 < k_frac < 1.0:
+        raise DomainError(f"k-frac must be in (0,1), got {k_frac}")
     k = k_fixed if k_fixed is not None else max(1, round(k_frac * n_rows))
     seed = ctx.obj["seed"]
 
@@ -327,7 +329,7 @@ def phase_cmd(ctx, delta_steps, delta_min, delta_max, families):
     }
     params = {"delta_range": [delta_min, delta_max, delta_steps], "families": fams}
     _emit(ctx, "phase", params, rows, columns=PHASE_COLUMNS,
-          figure=lambda: curve_svg(series, "l1 phase transition lower bound", log_y=True))
+          figure=lambda: curve_svg(series, "l1 phase transition lower bound"))
 
 
 @cli.command("cover")

@@ -26,11 +26,8 @@ from .rates import _net_max_raw, _net_min_log_lambda
 __all__ = [
     "FiniteInstance",
     "TailBound",
-    "g_max_pdf_bound",
-    "g_min_pdf_bound",
     "log_g_max_pdf_bound",
     "log_g_min_pdf_bound",
-    "covering_failure_bound",
     "log_covering_failure_bound",
     "tail_prob_upper",
     "tail_prob_lower",
@@ -128,10 +125,6 @@ def log_g_max_pdf_bound(m: int, n: int, lam: float) -> float:
     )
 
 
-def g_max_pdf_bound(m: int, n: int, lam: float) -> float:
-    return math.exp(log_g_max_pdf_bound(m, n, lam))
-
-
 def log_g_min_pdf_bound(m: int, n: int, lam: float) -> float:
     """Log of the smallest-eigenvalue density bound:
 
@@ -155,10 +148,6 @@ def log_g_min_pdf_bound(m: int, n: int, lam: float) -> float:
     )
 
 
-def g_min_pdf_bound(m: int, n: int, lam: float) -> float:
-    return math.exp(log_g_min_pdf_bound(m, n, lam))
-
-
 def log_covering_failure_bound(k: int, N: int) -> float:
     """Log of (5/4) (2 pi k (1 - k/N))^(-1/2) exp(-N (1 - ln 2)).
 
@@ -175,10 +164,6 @@ def log_covering_failure_bound(k: int, N: int) -> float:
     )
 
 
-def covering_failure_bound(k: int, N: int) -> float:
-    return math.exp(log_covering_failure_bound(k, N))
-
-
 def tail_prob_upper(inst: FiniteInstance) -> TailBound:
     """Bound on P(U(k,n,N) exceeds the asymptotic upper bound + epsilon).
 
@@ -189,8 +174,8 @@ def tail_prob_upper(inst: FiniteInstance) -> TailBound:
     < 0; the covering failure probability is added on top.
 
     Caveat: the result lies below the union bound that its own pieces
-    define, N C(N,k)/C(m,k) times the integral of g_max_pdf_bound over
-    [lambda* + epsilon, inf) with m = gamma n: at epsilon = 1e-3 and
+    define, N C(N,k)/C(m,k) times the integral of exp(log_g_max_pdf_bound)
+    over [lambda* + epsilon, inf) with m = gamma n: at epsilon = 1e-3 and
     (k, n, N) = (100, 200, 2000), (200, 400, 4000), (400, 800, 8000) it is
     209, 839 and 3.4e3 times smaller.  Stirling and Binet steps can only
     raise a bound, so the proof-form prefactor is wrong; Binet applied to

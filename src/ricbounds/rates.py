@@ -2,9 +2,10 @@
 
 Shannon entropy, the large-deviation exponents of the extreme Wishart
 eigenvalue densities, the combined net exponents whose roots define the
-bound values, and the Stirling / Binet inequalities used by the finite-size
-analysis.  Everything here is a pure function of floats; all logarithms are
-natural.
+bound values, and the Stirling / Binet inequalities.  The last two document
+steps of the paper's finite-size proof: acceptance criterion 10 tests them,
+and nothing else in the package calls them.  Everything here is a pure
+function of floats; all logarithms are natural.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "psi_max",
     "psi_min",
     "net_exponent_max",
-    "net_exponent_min",
     "log_binomial_bounds",
     "binet_log_gamma_lower",
 ]
@@ -28,32 +28,32 @@ __all__ = [
 LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _validate_point(delta: float, rho: float) -> None:
+    if not (0.0 < delta < 1.0):
+        raise DomainError(f"delta must be in (0,1), got {delta}")
+    if not (0.0 < rho < 1.0):
+        raise DomainError(f"rho must be in (0,1), got {rho}")
+
+
 @dataclass(frozen=True)
 class ProblemShape:
     """Asymptotic problem coordinates.
 
-    delta = n/N and rho = k/n, both in (0,1).  gamma = m/n is the optional
-    group-size ratio and must lie in [rho, 1/delta] when present.
+    delta = n/N and rho = k/n, both in (0,1).  gamma = m/n is the
+    group-size ratio and must lie in [rho, 1/delta].
     """
 
     delta: float
     rho: float
-    gamma: float | None = None
+    gamma: float
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise DomainError(f"delta must be in (0,1), got {self.delta}")
-        if not (0.0 < self.rho < 1.0):
-            raise DomainError(f"rho must be in (0,1), got {self.rho}")
-        if self.gamma is not None:
-            if not (self.rho <= self.gamma <= 1.0 / self.delta):
-                raise DomainError(
-                    f"gamma={self.gamma} outside [rho, 1/delta] = "
-                    f"[{self.rho}, {1.0 / self.delta}]"
-                )
-
-    def with_gamma(self, gamma: float) -> "ProblemShape":
-        return ProblemShape(self.delta, self.rho, gamma)
+        _validate_point(self.delta, self.rho)
+        if not (self.rho <= self.gamma <= 1.0 / self.delta):
+            raise DomainError(
+                f"gamma={self.gamma} outside [rho, 1/delta] = "
+                f"[{self.rho}, {1.0 / self.delta}]"
+            )
 
 
 def shannon_entropy(p: float) -> float:
@@ -123,23 +123,7 @@ def net_exponent_max(lam: float, shape: ProblemShape) -> float:
 
     delta * psi_max(lam, gamma) + H(rho*delta) - delta*gamma*H(rho/gamma).
     """
-    if shape.gamma is None:
-        raise DomainError("shape.gamma is required for the net exponent")
     return _net_max_raw(lam, shape.delta, shape.rho, shape.gamma)
-
-
-def net_exponent_min(lam: float, shape: ProblemShape) -> float:
-    """Net exponent whose root (at lam <= 1-gamma) defines lambda^min.
-
-    delta * psi_min(lam, gamma) + H(rho*delta) - delta*gamma*H(rho/gamma).
-    """
-    if shape.gamma is None:
-        raise DomainError("shape.gamma is required for the net exponent")
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    if shape.gamma >= 1.0:
-        raise DomainError(f"gamma must be in (0,1) for psi_min, got {shape.gamma}")
-    return _net_min_log_lambda(math.log(lam), shape.delta, shape.rho, shape.gamma)
 
 
 def _net_max_raw(lam: float, delta: float, rho: float, gamma: float) -> float:

@@ -53,15 +53,8 @@ def _frame(title: str, body: list[str], x_axis: str, y_axis: str, *notes: str) -
     ])
 
 
-def heatmap_svg(
-    values: list[list[float]],
-    xs: list[float],
-    ys: list[float],
-    title: str,
-    xlabel: str = "delta",
-    ylabel: str = "rho",
-) -> str:
-    """Heatmap of values[j][i] over (xs[i], ys[j]), y upward."""
+def heatmap_svg(values: list[list[float]], xs: list[float], ys: list[float], title: str) -> str:
+    """Heatmap of values[j][i] over (delta, rho) = (xs[i], ys[j]), y upward."""
     n_x, n_y = len(xs), len(ys)
     finite = [v for row in values for v in row if math.isfinite(v)]
     lo = min(finite) if finite else 0.0
@@ -79,8 +72,8 @@ def heatmap_svg(
             )
     return _frame(
         title, cells,
-        f"{xlabel}: {_fmt(xs[0])} .. {_fmt(xs[-1])}",
-        f"{ylabel}: {_fmt(ys[0])} .. {_fmt(ys[-1])}",
+        f"delta: {_fmt(xs[0])} .. {_fmt(xs[-1])}",
+        f"rho: {_fmt(ys[0])} .. {_fmt(ys[-1])}",
         f'<text x="{_ML}" y="{_MT - 6}" font-size="12">'
         f"scale: {_fmt(lo)} (blue) to {_fmt(hi)} (red)</text>",
     )
@@ -89,24 +82,16 @@ def heatmap_svg(
 _SERIES_COLORS = ("#1d4ed8", "#b91c1c", "#047857", "#7c3aed")
 
 
-def curve_svg(
-    series: dict[str, tuple[list[float], list[float]]],
-    title: str,
-    xlabel: str = "delta",
-    ylabel: str = "rho*",
-    log_y: bool = False,
-) -> str:
-    """Line plot of one or more named (xs, ys) series."""
+def curve_svg(series: dict[str, tuple[list[float], list[float]]], title: str) -> str:
+    """Line plot of one or more named (delta, rho*) series, rho* on a log10
+    scale; a point whose rho* is not a finite positive number is left out."""
     all_x = [x for xs, _ in series.values() for x in xs]
-    all_y = [y for _, ys in series.values() for y in ys if math.isfinite(y) and (not log_y or y > 0)]
+    all_y = [y for _, ys in series.values() for y in ys if math.isfinite(y) and y > 0]
     if not all_x or not all_y:
         raise ValueError("nothing to plot")
 
-    def ty(y: float) -> float:
-        return math.log10(y) if log_y else y
-
     x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(map(ty, all_y)), max(map(ty, all_y))
+    y_lo, y_hi = min(map(math.log10, all_y)), max(map(math.log10, all_y))
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -114,7 +99,7 @@ def curve_svg(
         return _ML + (x - x_lo) / x_span * (_W - _ML - _MR)
 
     def py(y: float) -> float:
-        return _H - _MB - (ty(y) - y_lo) / y_span * (_H - _MT - _MB)
+        return _H - _MB - (math.log10(y) - y_lo) / y_span * (_H - _MT - _MB)
 
     parts = [
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
@@ -125,7 +110,7 @@ def curve_svg(
         pts = " ".join(
             f"{px(x):.2f},{py(y):.2f}"
             for x, y in zip(xs, ys)
-            if math.isfinite(y) and (not log_y or y > 0)
+            if math.isfinite(y) and y > 0
         )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
@@ -134,9 +119,8 @@ def curve_svg(
             f'<text x="{_W - _MR - 6}" y="{_MT + 18 + 16 * idx}" text-anchor="end" '
             f'font-size="13" fill="{color}">{name}</text>'
         )
-    y_label = f"log10({ylabel})" if log_y else ylabel
     return _frame(
         title, parts,
-        f"{xlabel}: {_fmt(x_lo)} .. {_fmt(x_hi)}",
-        f"{y_label}: {_fmt(y_lo)} .. {_fmt(y_hi)}",
+        f"delta: {_fmt(x_lo)} .. {_fmt(x_hi)}",
+        f"log10(rho*): {_fmt(y_lo)} .. {_fmt(y_hi)}",
     )

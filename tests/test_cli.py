@@ -212,9 +212,11 @@ class TestEmpirical:
     @pytest.mark.parametrize(
         "bad",
         [("--sizes", "200,abc"), ("--sizes", ""), ("--sizes", "0"), ("--restarts", "0"),
-         ("--n", "0"), ("--k", "0"), ("--k-frac", "nan")],
+         ("--n", "0"), ("--k", "0"), ("--k-frac", "nan"), ("--k-frac", "-0.3"),
+         ("--k-frac", "0"), ("--k-frac", "1.5")],
         ids=["sizes-not-int", "sizes-empty", "sizes-zero", "restarts-zero",
-             "n-zero", "k-zero", "k-frac-nan"],
+             "n-zero", "k-zero", "k-frac-nan", "k-frac-negative", "k-frac-zero",
+             "k-frac-above-one"],
     )
     def test_invalid_input_exit_code(self, capsys, bad):
         code, out, err = run_cli(capsys, "empirical", "--n", "6", *bad)
@@ -234,6 +236,15 @@ class TestPhase:
         assert len(rows) == 2
         for row in rows:
             assert 1e-4 < float(row["rho_star"]) < 1e-2
+
+    def test_svg_draws_one_curve_per_family(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--format", "svg", "phase", "--delta-steps", "3", "--families", "BT,BCT",
+        )
+        assert code == 0
+        assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
+        assert out.count("<polyline") == 2
+        assert "log10(rho*)" in out
 
 
 class TestCover:
@@ -308,6 +319,16 @@ class TestIO:
     ], ids=lambda argv: argv[0])
     def test_svg_without_figure_is_a_domain_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "--format", "svg", *argv)
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cover", "-N", "8", "--k", "2", "--m", "4"),
+        ("empirical", "--n", "6", "--sizes", "10", "--k", "2", "--restarts", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_a_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--seed", "-1", *argv)
         assert code == 2
         assert out == ""
         assert "DomainError" in err

@@ -6,9 +6,6 @@ import pytest
 from ricbounds.errors import DomainError
 from ricbounds.finite import (
     FiniteInstance,
-    covering_failure_bound,
-    g_max_pdf_bound,
-    g_min_pdf_bound,
     log_covering_failure_bound,
     log_g_max_pdf_bound,
     log_g_min_pdf_bound,
@@ -43,26 +40,16 @@ def mp_g_min(m, n, lam):
 
 
 class TestPdfBounds:
+    # An absolute 1e-12 in the log is a relative 1e-12 in the density.
     def test_g_max_against_high_precision(self):
-        assert g_max_pdf_bound(2, 4, 2.0) == pytest.approx(float(mp_g_max(2, 4, 2.0)), rel=1e-12)
-        assert g_max_pdf_bound(10, 40, 3.5) == pytest.approx(
-            float(mp_g_max(10, 40, 3.5)), rel=1e-12
-        )
+        for m, n, lam in [(2, 4, 2.0), (10, 40, 3.5)]:
+            ref = float(mpmath.log(mp_g_max(m, n, lam)))
+            assert log_g_max_pdf_bound(m, n, lam) == pytest.approx(ref, abs=1e-12)
 
     def test_g_min_against_high_precision(self):
-        assert g_min_pdf_bound(2, 4, 0.1) == pytest.approx(float(mp_g_min(2, 4, 0.1)), rel=1e-12)
-        assert g_min_pdf_bound(8, 30, 0.05) == pytest.approx(
-            float(mp_g_min(8, 30, 0.05)), rel=1e-12
-        )
-
-    def test_log_linear_consistency(self):
-        for m, n, lam in [(2, 4, 2.0), (5, 20, 1.3), (3, 9, 0.4)]:
-            assert math.exp(log_g_max_pdf_bound(m, n, lam)) == pytest.approx(
-                g_max_pdf_bound(m, n, lam), rel=1e-10
-            )
-            assert math.exp(log_g_min_pdf_bound(m, n, lam)) == pytest.approx(
-                g_min_pdf_bound(m, n, lam), rel=1e-10
-            )
+        for m, n, lam in [(2, 4, 0.1), (8, 30, 0.05)]:
+            ref = float(mpmath.log(mp_g_min(m, n, lam)))
+            assert log_g_min_pdf_bound(m, n, lam) == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("n,gamma", [(20, 0.5), (50, 0.3), (100, 0.8)])
     def test_g_max_below_polynomial_exponential_split(self, n, gamma):
@@ -104,11 +91,11 @@ class TestPdfBounds:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            g_max_pdf_bound(0, 4, 1.0)
+            log_g_max_pdf_bound(0, 4, 1.0)
         with pytest.raises(DomainError):
-            g_min_pdf_bound(5, 4, 1.0)
+            log_g_min_pdf_bound(5, 4, 1.0)
         with pytest.raises(DomainError):
-            g_max_pdf_bound(2, 4, 0.0)
+            log_g_max_pdf_bound(2, 4, 0.0)
 
 
 class TestCoveringFailureBound:
@@ -120,10 +107,6 @@ class TestCoveringFailureBound:
             - N * (1 - mpmath.log(2))
         )
         assert log_covering_failure_bound(k, N) == pytest.approx(float(ref), rel=1e-12)
-        assert covering_failure_bound(k, N) < 1e-260
-
-    def test_linear_value_zero_once_log_passes_double_range(self):
-        assert covering_failure_bound(200, 4000) == 0.0
 
     def test_monotone_decreasing_in_N_at_fixed_ratio(self):
         vals = [log_covering_failure_bound(N // 20, N) for N in (200, 400, 800)]

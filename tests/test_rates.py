@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from ricbounds.errors import DomainError
 from ricbounds.rates import (
     ProblemShape,
+    _net_min_log_lambda,
     binet_log_gamma_lower,
     log_binomial_bounds,
     net_exponent_max,
-    net_exponent_min,
     psi_max,
     psi_min,
     shannon_entropy,
@@ -106,10 +106,8 @@ class TestNetExponents:
         assert net_exponent_max(2.5, shape) == pytest.approx(direct, rel=1e-14)
 
     def test_requires_gamma(self):
-        with pytest.raises(DomainError):
-            net_exponent_max(2.0, ProblemShape(0.3, 0.4))
-        with pytest.raises(DomainError):
-            net_exponent_min(0.2, ProblemShape(0.3, 0.4))
+        with pytest.raises(TypeError):
+            ProblemShape(0.3, 0.4)
 
     def test_term_sum_against_high_precision(self):
         d, r, g, lam = 0.25, 0.4, 0.6, 3.0
@@ -131,14 +129,8 @@ class TestNetExponents:
             + mp_entropy(r * d)
             - md * mg * mp_entropy(r / g)
         )
-        got = net_exponent_min(lam, ProblemShape(d, r, gamma=g))
+        got = _net_min_log_lambda(math.log(lam), d, r, g)
         assert got == pytest.approx(float(ref), rel=1e-12)
-
-    def test_min_domain_checks(self):
-        with pytest.raises(DomainError):
-            net_exponent_min(0.0, ProblemShape(0.3, 0.4, gamma=0.5))
-        with pytest.raises(DomainError):
-            net_exponent_min(0.2, ProblemShape(0.3, 0.4, gamma=1.0))
 
 
 class TestProblemShape:
@@ -149,9 +141,10 @@ class TestProblemShape:
         with pytest.raises(DomainError):
             ProblemShape(0.5, 0.3, gamma=2.5)
 
-    def test_with_gamma(self):
-        s = ProblemShape(0.5, 0.3).with_gamma(0.5)
-        assert s.gamma == 0.5
+    @pytest.mark.parametrize("delta,rho", [(0.0, 0.3), (1.0, 0.3), (0.5, 0.0), (0.5, 1.0)])
+    def test_point_outside_unit_square(self, delta, rho):
+        with pytest.raises(DomainError):
+            ProblemShape(delta, rho, gamma=0.5)
 
 
 class TestStirlingBrackets:
