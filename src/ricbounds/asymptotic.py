@@ -46,10 +46,7 @@ RESIDUAL_TOL = 1e-12
 # Relative width target for gamma location searches.
 GAMMA_TOL = 1e-10
 
-_LAMBDA_CEILING = 1e9
-# ln(lambda^min) scales like -c/(1-gamma) near gamma = 1, so the bracket
-# floor has to sit far below anything float-representable as lambda itself.
-# The BT searches on u = ln(gamma - rho) share it: u < -1e6 as rho -> 1.
+# Floor of the BT searches on u = ln(gamma - rho): u < -1e6 as rho -> 1.
 _LOG_FLOOR = -1e12
 # Step cap of the bracket-narrowing loop in _root.
 _ROOT_STEPS = 200
@@ -166,59 +163,61 @@ def _root(f, a, b, tol, limit, fa):
 _WHERE = "{} {} (delta={}, rho={}, gamma={})"
 
 
-def _solve_lambda(f, foot, step, tol, limit, where):
-    """Root of f beyond its foot, where f must be >= 0; the first probe is
-    foot + step.  The root meets the 1e-12 residual or raises SolverError.
+def _lambert_g(y: float, eps: float) -> float:
+    """eps + y - expm1(y); the cap on y only deepens a value already below 0."""
+    return eps + y - math.expm1(min(y, 709.0))
 
-    where = (side, delta, rho, gamma) names the solve in the messages; it is
-    formatted only on failure, as formatting costs a few percent of a BCT
-    point.
+
+def _solve_lambda(f, sign, side, delta, rho, gamma):
+    """Root y = ln(lambda / a) of the net exponent f(y), on the sign side of
+    its foot y = 0, lambda = a = 1 + sign gamma.
+
+    Along y, f = (delta a / 2) g(y) exactly, g(y) = eps + y - expm1(y) with
+    eps = 2 f(0) / (delta a) >= 0: both roots are real branches of the
+    Lambert W function at -e^(-1-eps) (Corless et al., "On the Lambert W
+    function", Adv. Comput. Math. 5, 1996).  g(0) = eps > 0 >= g(sign (2 + eps)),
+    so _root starts on that bracket and never expands it; eps and expm1 stay
+    exact where -1 - eps would round to -1 (rho below about 1e-18).  f is
+    evaluated twice, at the foot and at the root, which must meet the 1e-12
+    residual; each failure raises SolverError naming the solve.
     """
-    f_foot = f(foot)
+    f_foot = f(0.0)
     if f_foot < 0.0:
-        raise SolverError(_WHERE.format("net exponent negative at the foot of", *where))
-    a, b = _root(f, foot, foot + step, tol, limit, f_foot)
-    root = 0.5 * (a + b)
+        raise SolverError(_WHERE.format("net exponent negative at the foot of", side, delta, rho, gamma))
+    a = 1.0 + sign * gamma
+    eps = 2.0 * f_foot / (delta * a)
+    end = sign * (2.0 + eps)
+    ya, yb = _root(lambda y: _lambert_g(y, eps), 0.0, end, 1e-16, end, eps)
+    root = 0.5 * (ya + yb)
     residual = abs(f(root))
     if residual > RESIDUAL_TOL:
-        msg = _WHERE.format(f"residual above {RESIDUAL_TOL:g} at", *where)
-        raise SolverError(f"{msg}: |f| = {residual:g} at {root!r}, bracket [{a!r}, {b!r}]")
+        msg = _WHERE.format(f"residual above {RESIDUAL_TOL:g} at", side, delta, rho, gamma)
+        lo, hi = math.log(a) + ya, math.log(a) + yb  # in ln(lambda)
+        raise SolverError(f"{msg}: |f| = {residual:g} at {0.5 * (lo + hi)!r}, bracket [{lo!r}, {hi!r}]")
     return root
 
 
 def solve_lambda_max(delta: float, rho: float, gamma: float) -> float:
-    """Root lambda >= 1 + gamma of the net upper-tail exponent.
-
-    The exponent is positive at lambda = 1 + gamma and strictly decreasing
-    beyond it.  The search stops within 1e-15 (1 + gamma), which is at most
-    1e-15 relative to the root.
-    """
+    """Root lambda = (1 + gamma) e^y >= 1 + gamma of the net upper-tail
+    exponent, y from _solve_lambda to 1e-16."""
     _validate_point(delta, rho)
     if not (rho <= gamma <= 1.0 / delta):
         raise DomainError(f"gamma={gamma} outside [rho, 1/delta]")
-    foot = 1.0 + gamma
-    return _solve_lambda(
-        lambda lam: _net_max_raw(lam, delta, rho, gamma), foot, foot, 1e-15 * foot,
-        _LAMBDA_CEILING, ("lambda^max", delta, rho, gamma),
-    )
+    a = 1.0 + gamma
+    return a * math.exp(_solve_lambda(
+        lambda y: _net_max_raw(a * math.exp(y), delta, rho, gamma), 1.0, "lambda^max", delta, rho, gamma))
 
 
 def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
-    """Log of the root lambda <= 1 - gamma of the net lower-tail exponent.
-
-    Returned as ln(lambda): the root itself underflows double precision for
-    extreme (delta, rho).  The exponent is increasing on (0, 1 - gamma),
-    negative near 0 and positive at 1 - gamma, so the search runs on
-    ln(lambda), to 1e-13 absolute.
-    """
+    """ln of the root lambda <= 1 - gamma of the net lower-tail exponent,
+    ln(1 - gamma) + y with y from _solve_lambda; lambda itself underflows
+    double precision for extreme (delta, rho)."""
     _validate_point(delta, rho)
     if not (rho <= gamma < 1.0):
         raise DomainError(f"gamma={gamma} outside [rho, 1) for the lower bound")
-    return _solve_lambda(
-        lambda log_lam: _net_min_log_lambda(log_lam, delta, rho, gamma),
-        math.log1p(-gamma), -2.0, 1e-13,
-        _LOG_FLOOR, ("lambda^min", delta, rho, gamma),
-    )
+    x0 = math.log1p(-gamma)
+    return x0 + _solve_lambda(
+        lambda y: _net_min_log_lambda(x0 + y, delta, rho, gamma), -1.0, "lambda^min", delta, rho, gamma)
 
 
 def _first_order_max(log_lam: float, gamma: float, log_offset: float) -> float:
@@ -293,13 +292,18 @@ def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
     search (_gamma_search) runs on F_max(max(lambda_1, 1 + gamma)) with
     ln lambda_1 = 3 ln gamma - 2u.  psi_max(1 + gamma, gamma) > 0 and
     dF/dlambda = (delta/2)((1+gamma)/lambda - 1) < 0 past the foot.
+    Below delta = 2**-52 it raises DomainError rather than return U ~ 1/delta.
     """
     _validate_point(delta, rho)
+    if delta < 2.0**-52:
+        raise DomainError(f"delta={delta} below 2**-52: at gamma = 1/delta the terms of the"
+                          " upper net exponent cancel below one ulp")
     g_hi = 1.0 / delta
 
     def f(u):
         gamma = min(rho + math.exp(u), g_hi)
-        lam = math.exp(-_first_order_max(0.0, gamma, u))
+        # F is negative at any lambda_1 past e^709; the cap keeps exp finite.
+        lam = math.exp(min(-_first_order_max(0.0, gamma, u), 709.0))
         return _net_max_raw(max(lam, 1.0 + gamma), delta, rho, gamma)
 
     return _gamma_search(delta, rho, g_hi, f, solve_lambda_max)
@@ -315,7 +319,7 @@ def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
     it.  The open right end of the interval is approached through a guard.
     """
     _validate_point(delta, rho)
-    g_cap = min(1.0, 1.0 / delta) - 1e-9
+    g_cap = 1.0 - 1e-9
     if g_cap <= rho:
         return GammaOptimum(rho, solve_lambda_min(delta, rho, rho), True, -math.inf)
 

@@ -255,9 +255,5 @@ def _tail_bound(side: str, inst: FiniteInstance, opt: GammaOptimum, lam: float,
 
 def _log_add(a: float, b: float) -> float:
     """log(exp(a) + exp(b)) without leaving log space."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))

@@ -138,9 +138,8 @@ def _net_max_raw(lam: float, delta: float, rho: float, gamma: float) -> float:
 # Log-lambda variants: lambda^min underflows float range for extreme
 # (delta, rho), so the min-side solver works on ln(lambda) directly.
 def _net_min_log_lambda(log_lam: float, delta: float, rho: float, gamma: float) -> float:
-    lam = math.exp(log_lam) if log_lam > -700.0 else 0.0
     return (
-        delta * _psi_min(lam, log_lam, gamma)
+        delta * _psi_min(math.exp(log_lam), log_lam, gamma)
         + shannon_entropy(rho * delta)
         - delta * _entropy_ratio_term(rho, gamma)
     )

@@ -80,6 +80,16 @@ class TestBounds:
         assert code == 2
         assert "delta" in err
 
+    def test_tiny_rho_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "--format", "json", "bounds", "0.5", "1e-150")
+        assert code == 0, err
+        assert math.isfinite(json.loads(out)["results"]["U"])
+
+    def test_delta_below_one_ulp_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "bounds", "1e-20", "0.5")
+        assert code == 2
+        assert "2**-52" in err
+
     def test_json_envelope_validates(self, capsys):
         _, out, _ = run_cli(capsys, "--format", "json", "bounds", "0.3", "0.2")
         jsonschema.validate(json.loads(out), load_schema())
