@@ -33,8 +33,8 @@ EXHAUSTIVE_GUARD = 1_000_000
 # Candidate pruning width for the swap neighborhood.
 CANDIDATE_POOL = 32
 IMPROVE_TOL = 1e-9
-# Bracket widening for pruned swaps, relative to the trace of a trial block.
-_BRACKET_MARGIN = 1e-10
+# Rounding margin of the swap filter, relative to the trace of a trial block.
+_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -141,71 +141,59 @@ def _objective(gram_full: np.ndarray, support: np.ndarray, mode: str):
     return float(vals[i]), vecs[:, i]
 
 
-def _swap_brackets(
-    gram_full: np.ndarray, support: np.ndarray, candidates: np.ndarray, sign: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cheap rigorous brackets on the extreme eigenvalue of every trial swap.
+def _contending_swaps(
+    gram_full: np.ndarray,
+    support: np.ndarray,
+    candidates: np.ndarray,
+    sign: float,
+    target: float,
+) -> np.ndarray:
+    """Flat indices c*k + p of the trials that can still be the steepest swap.
 
-    Entry [c, p] of each returned (C, k) array belongs to the trial that
-    puts candidates[c] at position p of the support, and the pair (lo, hi)
-    satisfies sign*lo <= sign*value <= sign*hi, where value is the
-    trial's largest (sign = +1) or smallest (sign = -1) eigenvalue.  Below,
-    "extreme" and "beyond" are read in the sign*eigenvalue order, so one
-    argument covers both modes.
+    Trial c*k + p puts candidates[c] at position p of the support, and
+    s*value (s = sign) is its signed extreme eigenvalue.  A trial is
+    dropped only if it cannot reach max(target, every trial's s*value).
 
     The trial block is T = [[B, g], [g', d]] up to a permutation, with
     B = G[S-p, S-p], g = G[S-p, c] and d = G[c, c].  One eigh of the k
     blocks B = V diag(mu) V' turns T into the arrow matrix
-    [[diag(mu), z], [z', d]] with z = V'g.  Let mu1 be the extreme
-    eigenvalue, mu2 the next one, z1 the component of z along mu1's
-    eigenvector and r2 = |z|^2 - z1^2 the rest.
+    [[diag(mu), z], [z', d]] with z = V'g, so s*value is the one root
+    beyond max s*mu of f(x) = x - s*d - sum z_i^2 / (x - s*mu_i) (Golub,
+    SIAM Review 15, 1973).  On that branch f rises with slope >= 1, so
+    s*value >= x exactly when x <= max s*mu or f(x) <= 0.
 
-    - lo: l, the extreme eigenvalue of [[mu1, z1], [z1, d]], is a Rayleigh
-      quotient of T on the span of mu1's eigenvector and e_c, so the
-      trial's value lies at or beyond it.
-    - hi: moving mu3, ..., mu_{k-1} onto mu2 adds a positive semidefinite
-      matrix (in the sign order), so the extreme eigenvalue t of the
-      resulting matrix bounds the trial's value.  Its mu2 part has one
-      coupled direction, of weight r2, so t is that of the 3 x 3 matrix
-      [[mu1, 0, z1], [0, mu2, r], [z1, r, d]].  t lies beyond l, and l
-      beyond mu1 and mu2; eliminating the middle row of its eigenvector
-      shows that t is an eigenvalue of [[mu1, z1], [z1, d + r2/(t - mu2)]].
-      That matrix's extreme eigenvalue moves with its corner, and
-      |r2/(t - mu2)| <= |r2/(l - mu2)| because t lies beyond l, so t is at
-      most u, the extreme eigenvalue of [[mu1, z1], [z1, d + r2/(l - mu2)]].
-    Both 2 x 2 values are closed form: (a + d)/2 + sign*hypot((a - d)/2, z1).
-
-    Rounding is absorbed by a margin m = 1e-10 * (trace G[S, S] + max d),
+    The Ritz value of [[mu1, z1], [z1, d]], with mu1 the extreme mu and z1
+    its component of z, is a Rayleigh quotient of T, so the best trial
+    reaches the best Ritz value.  With m = 1e-10 * (trace G[S, S] + max d),
     which bounds the norm of every trial block (Gram blocks are positive
-    semidefinite): the gap l - mu2 is shrunk by m before it divides r2,
-    and the returned brackets are l and u widened by m.  LAPACK's
-    eigenvalues and the formulas above are accurate to a few k*eps times
-    that norm, about 1e-14 of it at k = 64, far inside m.  A gap that
-    vanishes after the shrink (mu2 = l, as with orthonormal columns) gives
-    an infinite hi.  For k <= 2 every bracket is infinite.
+    semidefinite), the test runs at x = max(target, max s*Ritz - m) - m.
+    LAPACK's arrow matrix lies within a few k*eps*|T| of T, so its root
+    moves by no more than that (Weyl); with slope >= 1, a trial whose
+    LAPACK value reaches x + m has f(x) <= -(m - that), far outside the
+    error of evaluating f.  Every kept trial reaches target - 3m.  For
+    k <= 2 every trial is returned.
     """
     k = len(support)
     if k <= 2:
-        shape = (len(candidates), k)
-        return np.full(shape, -sign * np.inf), np.full(shape, sign * np.inf)
+        return np.arange(len(candidates) * k)
     # rest[p] is the support without position p.
     rest = np.broadcast_to(support, (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     mu, vecs = np.linalg.eigh(gram_full[rest[:, :, None], rest[:, None, :]])
     # z[c, p] = V_p' G[S-p, c], over the eigenvalues in ascending order.
     z = np.matmul(vecs.transpose(0, 2, 1), gram_full[rest[:, :, None], candidates])
     z = z.transpose(2, 0, 1)
-    ext, nxt, others = (-1, -2, slice(None, -1)) if sign > 0 else (0, 1, slice(1, None))
+    ext = -1 if sign > 0 else 0
     diag = np.diagonal(gram_full)
     d = diag[candidates][:, None]
-    margin = _BRACKET_MARGIN * (float(diag[support].sum()) + float(d.max()))
-    mu1, mu2, z1 = mu[:, ext], mu[:, nxt], z[..., ext]
-    r2 = np.sum(z[..., others] ** 2, axis=-1)
-    ritz = 0.5 * (mu1 + d) + sign * np.hypot(0.5 * (mu1 - d), z1)
-    gap = np.maximum(sign * (ritz - mu2) - margin, 0.0)
-    with np.errstate(divide="ignore"):
-        corner = d + sign * np.divide(r2, gap, out=np.zeros_like(r2), where=r2 > 0)
-    bound = 0.5 * (mu1 + corner) + sign * np.hypot(0.5 * (mu1 - corner), z1)
-    return ritz - sign * margin, bound + sign * margin
+    margin = _MARGIN * (float(diag[support].sum()) + float(d.max()))
+    ritz = 0.5 * (mu[:, ext] + d) + sign * np.hypot(0.5 * (mu[:, ext] - d), z[..., ext])
+    x = max(target, float(np.max(sign * ritz)) - margin) - margin
+    # At or below the pole every trial at that position reaches x.
+    gap = x - sign * mu
+    at_pole = gap[:, ext] <= 0.0
+    gap[at_pole] = np.inf
+    f = x - sign * d - np.sum(z**2 / gap, axis=-1)
+    return np.flatnonzero(at_pole | (f <= 0.0))
 
 
 def local_search(
@@ -225,21 +213,20 @@ def local_search(
     all restarts is returned; since every support certifies a lower bound
     on the RIC, more restarts never hurt.
 
-    Each sweep first brackets the value of all C*k trials (C = min(32,
-    N - k)) with `_swap_brackets`, from one eigh of the k blocks that
-    leave one support column out.  A trial whose far bracket cannot reach
-    both the best near bracket and the current value plus 1e-9 can be
-    neither the steepest swap nor an improving one, so only the others go
-    to one stacked eigvalsh call, in candidate-major, position-minor
-    order; ties go to the first maximum in that order.  If none is left
-    the sweep stops.  The brackets are rigorous up to a margin far above
-    roundoff, so every trial that attains the maximum survives, and
+    Each sweep first drops, with `_contending_swaps`, every one of the
+    C*k trials (C = min(32, N - k)) that can be neither the steepest swap
+    nor an improving one: one eigh of the k blocks that leave one support
+    column out, then one secular-equation sign test per trial.  The
+    others go to one stacked eigvalsh call, in candidate-major,
+    position-minor order; ties go to the first maximum in that order.  If
+    none is left the sweep stops.  The test is exact up to a margin far
+    above roundoff, so every trial that attains the maximum is kept, and
     eigvalsh solves each matrix of a stack on its own: supports, values
     and swap counts are bit-identical to solving every trial.  On
-    Gaussian matrices at n = 100 and k = 5-20, about 1-3% of trials
-    survive in the upper mode and 3-50% in the lower mode, where the
-    lowest eigenvalues crowd together.  The worst case is still every
-    trial (the lower mode at n = 100, k = 64), 256*k**3 bytes of blocks.
+    Gaussian matrices at n = 100 and k = 5-20, about 0.4-1.2% of trials
+    are solved in the upper mode and 0.8-3.5% in the lower mode.  The
+    first sweep from a random start keeps the most: at n = 100, k = 64
+    in the lower mode, about half of its 2048 trials.
 
     Restart RNG streams are spawned from one SeedSequence, so results are
     reproducible and independent of evaluation order.
@@ -273,9 +260,9 @@ def local_search(
             order = np.argsort(scores)[::-1][:CANDIDATE_POOL]
             candidates = out_cols[order]
 
-            lo, hi = _swap_brackets(gram_full, support, candidates, sign)
-            floor = max(sign * val + IMPROVE_TOL, float(np.max(sign * lo)))
-            alive = np.flatnonzero(sign * hi >= floor)
+            alive = _contending_swaps(
+                gram_full, support, candidates, sign, sign * val + IMPROVE_TOL
+            )
             if alive.size == 0:
                 break
             # Flat index c*k + pos is the support with candidates[c] at pos.

@@ -110,11 +110,7 @@ def _psi_min(lam: float, log_lam: float, gamma: float) -> float:
 
 
 def _entropy_ratio_term(rho: float, gamma: float) -> float:
-    """gamma * H(rho/gamma), with the H(1) = 0 convention at gamma = rho."""
-    if gamma < rho:
-        raise DomainError(f"gamma={gamma} below rho={rho}: rho/gamma > 1")
-    if gamma == rho:
-        return 0.0
+    """gamma * H(rho/gamma); every caller has gamma >= rho."""
     return gamma * shannon_entropy(rho / gamma)
 
 

@@ -11,7 +11,8 @@ from ricbounds.empirical import (
     IMPROVE_TOL,
     EmpiricalRun,
     MatrixSample,
-    _swap_brackets,
+    _MARGIN,
+    _contending_swaps,
     exhaustive_ric,
     gram_extreme_eigs,
     local_search,
@@ -295,7 +296,7 @@ class TestStackedSweep:
             for v in solved
         )
 
-    @pytest.mark.parametrize("n,N,k", [(100, 200, 5), (100, 500, 10)])
+    @pytest.mark.parametrize("n,N,k", [(100, 200, 5), (100, 500, 10), (100, 300, 20)])
     @pytest.mark.parametrize("mode", ["upper", "lower"])
     def test_pruned_sweep_solves_few_trials(self, monkeypatch, n, N, k, mode):
         counts = []
@@ -311,7 +312,7 @@ class TestStackedSweep:
         pool = CANDIDATE_POOL * k
         assert len(counts) <= sweeps
         assert all(1 <= c <= pool for c in counts)
-        assert sum(counts) <= sweeps * pool // 4
+        assert sum(counts) <= sweeps * pool // 16
 
 
 def _trial_values(gram, support, candidates, mode):
@@ -324,8 +325,8 @@ def _trial_values(gram, support, candidates, mode):
 
 
 @st.composite
-def _bracket_cases(draw):
-    kind = draw(st.sampled_from(["gaussian", "duplicated", "orthonormal"]))
+def _filter_cases(draw):
+    kind = draw(st.sampled_from(["gaussian", "duplicated", "orthonormal", "scaled"]))
     k = draw(st.integers(3, 12))
     N = draw(st.integers(k + 1, k + 40))
     n = N if kind == "orthonormal" else draw(st.integers(k, 60))
@@ -336,34 +337,39 @@ def _bracket_cases(draw):
     elif kind == "duplicated":
         src = rng.choice(N, size=N // 2)
         entries[:, rng.choice(N, size=N // 2, replace=False)] = entries[:, src]
+    elif kind == "scaled":
+        entries *= 10.0 ** rng.choice([-6.0, 0.0, 6.0], size=N)
     order = rng.permutation(N)
     support = np.sort(order[:k])
     candidates = order[k : k + CANDIDATE_POOL]
-    return entries.T @ entries, support, candidates, draw(st.sampled_from(["upper", "lower"]))
+    mode = draw(st.sampled_from(["upper", "lower"]))
+    # Where the target lies: 0 and 1 are the least and greatest trial value.
+    level = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 1.5, 3.0]))
+    return entries.T @ entries, support, candidates, mode, level
 
 
-class TestSwapBrackets:
-    @given(_bracket_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_brackets_contain_lapack_values(self, case):
-        # The brackets carry their rounding margin, so they hold with no slack.
-        gram, support, candidates, mode = case
+class TestContendingSwaps:
+    @given(_filter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_every_trial_that_reaches_the_floor(self, case):
+        # The filter carries its rounding margin, so this holds with no slack.
+        gram, support, candidates, mode, level = case
         sign = 1.0 if mode == "upper" else -1.0
-        lo, hi = _swap_brackets(gram, support, candidates, sign)
-        vals = _trial_values(gram, support, candidates, mode)
-        assert np.all(sign * lo <= sign * vals)
-        assert np.all(sign * vals <= sign * hi)
+        values = sign * _trial_values(gram, support, candidates, mode).ravel()
+        low, high = values.min(), values.max()
+        target = low + level * (high - low) + max(level - 1.0, 0.0) * abs(high)
+        kept = _contending_swaps(gram, support, candidates, sign, target)
+        winners = np.flatnonzero(values >= max(target, high))
+        assert np.all(np.isin(winners, kept))
+        diag = np.diagonal(gram)
+        margin = _MARGIN * (diag[support].sum() + diag[candidates].max())
+        assert np.all(values[kept] >= target - 3.0 * margin)
 
-    def test_orthonormal_columns_give_an_infinite_bound(self):
-        q = np.linalg.qr(np.random.default_rng(2).standard_normal((12, 12)))[0]
-        lo, hi = _swap_brackets(q.T @ q, np.arange(4), np.arange(4, 12), 1.0)
-        assert np.allclose(lo, 1.0) and np.all(hi == np.inf)
-
-    def test_every_trial_survives_below_three_columns(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_trial_is_kept_below_three_columns(self, k):
         gram = sample_gaussian(10, 20, 1).gram
-        lo, hi = _swap_brackets(gram, np.array([2, 5]), np.arange(6, 20), -1.0)
-        assert lo.shape == hi.shape == (14, 2)
-        assert np.all(lo == np.inf) and np.all(hi == -np.inf)
+        kept = _contending_swaps(gram, np.arange(k), np.arange(6, 20), -1.0, np.inf)
+        assert np.array_equal(kept, np.arange(14 * k))
 
 
 class TestSharpness:
