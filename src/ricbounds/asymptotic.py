@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
-from .rates import _net_max_raw, _net_min_log_lambda, _validate_point, shannon_entropy
+from .rates import _net_foot, _net_max_raw, _net_min_log_lambda, _validate_point, shannon_entropy
 
 __all__ = [
     "AsymptoticBound",
@@ -91,9 +91,9 @@ class AsymptoticBound:
 
 @dataclass(frozen=True)
 class GammaOptimum:
-    """Result of a gamma search: the chosen gamma, the lambda value there
-    (lambda^max, or ln lambda^min on the lower side), whether gamma sits on
-    the edge of its interval, and log_offset = ln(gamma - rho).
+    """Result of a gamma search: the chosen gamma, value = ln lambda there
+    (ln lambda^max or ln lambda^min), whether gamma sits on the edge of its
+    interval, and log_offset = ln(gamma - rho).
     """
 
     gamma: float
@@ -169,43 +169,43 @@ def _lambert_g(y: float, eps: float) -> float:
 
 
 def _solve_lambda(f, sign, side, delta, rho, gamma):
-    """Root y = ln(lambda / a) of the net exponent f(y), on the sign side of
-    its foot y = 0, lambda = a = 1 + sign gamma.
+    """ln lambda = ln a + y at the root of the net exponent f(ln lambda), on
+    the sign side of its foot y = 0, lambda = a = 1 + sign gamma.
 
     Along y, f = (delta a / 2) g(y) exactly, g(y) = eps + y - expm1(y) with
-    eps = 2 f(0) / (delta a) >= 0: both roots are real branches of the
+    eps = 2 F(a) / (delta a) >= 0: both roots are real branches of the
     Lambert W function at -e^(-1-eps) (Corless et al., "On the Lambert W
     function", Adv. Comput. Math. 5, 1996).  g(0) = eps > 0 >= g(sign (2 + eps)),
-    so _root starts on that bracket and never expands it; eps and expm1 stay
-    exact where -1 - eps would round to -1 (rho below about 1e-18).  f is
-    evaluated twice, at the foot and at the root, which must meet the 1e-12
-    residual; each failure raises SolverError naming the solve.
+    so _root starts on that bracket and never expands it.  F(a) comes from
+    _net_foot's closed form, which keeps the gamma-sized terms where a
+    rounds; eps and expm1 stay exact where -1 - eps would round to -1.  f is
+    evaluated once, at the root, which must meet the 1e-12 residual; each
+    failure raises SolverError naming the solve.
     """
-    f_foot = f(0.0)
+    f_foot = _net_foot(sign, delta, rho, gamma)
     if f_foot < 0.0:
         raise SolverError(_WHERE.format("net exponent negative at the foot of", side, delta, rho, gamma))
-    a = 1.0 + sign * gamma
-    eps = 2.0 * f_foot / (delta * a)
+    x0 = math.log1p(sign * gamma)
+    eps = 2.0 * f_foot / (delta * (1.0 + sign * gamma))
     end = sign * (2.0 + eps)
     ya, yb = _root(lambda y: _lambert_g(y, eps), 0.0, end, 1e-16, end, eps)
-    root = 0.5 * (ya + yb)
+    lo, hi = x0 + ya, x0 + yb
+    root = 0.5 * (lo + hi)
     residual = abs(f(root))
     if residual > RESIDUAL_TOL:
         msg = _WHERE.format(f"residual above {RESIDUAL_TOL:g} at", side, delta, rho, gamma)
-        lo, hi = math.log(a) + ya, math.log(a) + yb  # in ln(lambda)
-        raise SolverError(f"{msg}: |f| = {residual:g} at {0.5 * (lo + hi)!r}, bracket [{lo!r}, {hi!r}]")
+        raise SolverError(f"{msg}: |f| = {residual:g} at {root!r}, bracket [{lo!r}, {hi!r}]")
     return root
 
 
 def solve_lambda_max(delta: float, rho: float, gamma: float) -> float:
-    """Root lambda = (1 + gamma) e^y >= 1 + gamma of the net upper-tail
-    exponent, y from _solve_lambda to 1e-16."""
+    """ln of the root lambda >= 1 + gamma of the net upper-tail exponent,
+    ln(1 + gamma) + y with y from _solve_lambda to 1e-16."""
     _validate_point(delta, rho)
     if not (rho <= gamma <= 1.0 / delta):
         raise DomainError(f"gamma={gamma} outside [rho, 1/delta]")
-    a = 1.0 + gamma
-    return a * math.exp(_solve_lambda(
-        lambda y: _net_max_raw(a * math.exp(y), delta, rho, gamma), 1.0, "lambda^max", delta, rho, gamma))
+    return _solve_lambda(
+        lambda x: _net_max_raw(math.exp(x), delta, rho, gamma), 1.0, "lambda^max", delta, rho, gamma)
 
 
 def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
@@ -215,9 +215,8 @@ def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
     _validate_point(delta, rho)
     if not (rho <= gamma < 1.0):
         raise DomainError(f"gamma={gamma} outside [rho, 1) for the lower bound")
-    x0 = math.log1p(-gamma)
-    return x0 + _solve_lambda(
-        lambda y: _net_min_log_lambda(x0 + y, delta, rho, gamma), -1.0, "lambda^min", delta, rho, gamma)
+    return _solve_lambda(
+        lambda x: _net_min_log_lambda(x, delta, rho, gamma), -1.0, "lambda^min", delta, rho, gamma)
 
 
 def _first_order_max(log_lam: float, gamma: float, log_offset: float) -> float:
@@ -331,28 +330,22 @@ def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
     return _gamma_search(delta, rho, g_cap, f, solve_lambda_min)
 
 
+def _bound(family, delta, rho, log_max, log_min, **groups) -> AsymptoticBound:
+    """The one place that turns ln lambda^max and ln lambda^min into a bound:
+    U = expm1(log_max) and L = -expm1(log_min) keep their digits where lambda
+    is within an ulp of 1; lambda_min = exp(log_min) may underflow to 0.0."""
+    return AsymptoticBound(family, delta, rho, -math.expm1(log_min), math.expm1(log_max),
+                           math.exp(log_min), math.exp(log_max), log_min, **groups)
+
+
 def bt_bounds(delta: float, rho: float) -> AsymptoticBound:
     """Gamma-optimized upper and lower bounds at one (delta, rho) point."""
     upper = optimize_gamma_for_max(delta, rho)
     lower = optimize_gamma_for_min(delta, rho)
-    lam_max, log_lam_min = upper.value, lower.value
-    lam_min = math.exp(log_lam_min)
-    return AsymptoticBound(
-        family="BT",
-        delta=delta,
-        rho=rho,
-        L=1.0 - lam_min,
-        U=lam_max - 1.0,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        log_lambda_min=log_lam_min,
-        gamma_min=upper.gamma,
-        gamma_max=lower.gamma,
-        boundary_upper=upper.at_boundary,
-        boundary_lower=lower.at_boundary,
-        log_gamma_offset_min=upper.log_offset,
-        log_gamma_offset_max=lower.log_offset,
-    )
+    return _bound("BT", delta, rho, upper.value, lower.value,
+                  gamma_min=upper.gamma, gamma_max=lower.gamma,
+                  boundary_upper=upper.at_boundary, boundary_lower=lower.at_boundary,
+                  log_gamma_offset_min=upper.log_offset, log_gamma_offset_max=lower.log_offset)
 
 
 def bct_bounds(delta: float, rho: float) -> AsymptoticBound:
@@ -369,51 +362,29 @@ def bct_bounds(delta: float, rho: float) -> AsymptoticBound:
     + ln((1 - nu delta)/(nu delta)).  Wherever g = 0, lambda' = 0 too, so
     there g'(nu) = -1/(2 nu) - delta/(1 - nu delta) - 1/nu < 0: g crosses
     zero at most once, downward, so lambda rises and then may fall and has
-    no interior minimum.  The two ends are compared; a tie keeps rho.
+    no interior minimum.  The two ends are compared in ln lambda; a tie
+    keeps rho.
     """
     _validate_point(delta, rho)
-    log_lam_min = solve_lambda_min(delta, rho, rho)
-    lam_min = math.exp(log_lam_min)
-    nu_opt, lam_max = rho, solve_lambda_max(delta, rho, rho)
+    log_min = solve_lambda_min(delta, rho, rho)
+    nu_opt, log_max = rho, solve_lambda_max(delta, rho, rho)
     # The right end stays a hair inside rho < 1, where the exponent solver
     # is defined; the bound there is continuous in nu.  It never drops
     # below rho, where the bound would not cover sparsity rho.
     nu_top = max(rho, 1.0 - 1e-12)
-    lam_top = solve_lambda_max(delta, nu_top, nu_top)
-    if lam_top < lam_max:
-        nu_opt, lam_max = nu_top, lam_top
-    return AsymptoticBound(
-        family="BCT",
-        delta=delta,
-        rho=rho,
-        L=1.0 - lam_min,
-        U=lam_max - 1.0,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        log_lambda_min=log_lam_min,
-        gamma_min=rho,
-        gamma_max=rho,
-        nu_opt=nu_opt,
-    )
+    log_top = solve_lambda_max(delta, nu_top, nu_top)
+    if log_top < log_max:
+        nu_opt, log_max = nu_top, log_top
+    return _bound("BCT", delta, rho, log_max, log_min, gamma_min=rho, gamma_max=rho, nu_opt=nu_opt)
 
 
 def ct_bounds(delta: float, rho: float) -> AsymptoticBound:
     """Closed-form bounds from extreme singular value concentration."""
     _validate_point(delta, rho)
     spread = math.sqrt(2.0 / delta * shannon_entropy(delta * rho))
-    lam_max = (1.0 + math.sqrt(rho) + spread) ** 2
     edge = 1.0 - math.sqrt(rho) - spread
-    lam_min = max(0.0, edge) ** 2
-    return AsymptoticBound(
-        family="CT",
-        delta=delta,
-        rho=rho,
-        L=1.0 - lam_min,
-        U=lam_max - 1.0,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        log_lambda_min=math.log(lam_min) if lam_min > 0.0 else -math.inf,
-    )
+    log_min = 2.0 * math.log(edge) if edge > 0.0 else -math.inf
+    return _bound("CT", delta, rho, 2.0 * math.log1p(math.sqrt(rho) + spread), log_min)
 
 
 def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:

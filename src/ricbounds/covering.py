@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .empirical import _check_seed
 from .errors import DomainError, GuardError
 from .finite import log_covering_failure_bound
 
@@ -53,8 +54,8 @@ class CoveringPlan:
 
     u = None (the default) draws ceil(r * N) subsets, the count for which
     the failure-probability lemma is stated; callers may give fewer (they
-    suffice when only most subsets need covering).  A negative u is a
-    DomainError.
+    suffice when only most subsets need covering).  A negative u, or a seed
+    that is not a non-negative integer, is a DomainError.
     """
 
     N: int
@@ -72,6 +73,7 @@ class CoveringPlan:
             object.__setattr__(self, "u", math.ceil(self.r * self.N))
         elif self.u < 0:
             raise DomainError(f"u must be >= 0, got {self.u}")
+        _check_seed(self.seed)
 
     @property
     def r(self) -> float:

@@ -73,6 +73,12 @@ class EmpiricalRun:
     swaps_taken: int
 
 
+def _check_seed(seed) -> None:
+    """numpy's SeedSequence takes a non-negative integer; anything else is a DomainError."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def sample_gaussian(n: int, N: int, seed: int) -> MatrixSample:
     """Draw an n x N matrix of i.i.d. N(0, 1/n) entries.
 
@@ -82,6 +88,7 @@ def sample_gaussian(n: int, N: int, seed: int) -> MatrixSample:
     """
     if n < 1 or N < 1:
         raise DomainError(f"matrix dimensions must be >= 1, got ({n}, {N})")
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     entries = rng.standard_normal((n, N)) / math.sqrt(n)
     return MatrixSample(n=n, N=N, seed=seed, entries=entries)
@@ -237,6 +244,7 @@ def local_search(
         raise DomainError(f"k must be in [1, N), got {k}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
+    _check_seed(seed)
     sign = 1.0 if mode == "upper" else -1.0
     gram_full = sample.gram
     A = sample.entries

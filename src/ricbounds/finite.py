@@ -112,8 +112,8 @@ def log_g_max_pdf_bound(m: int, n: int, lam: float) -> float:
     """
     if m < 1 or n < 1:
         raise DomainError(f"m and n must be >= 1, got ({m}, {n})")
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
     nl = n * lam
     return (
         0.5 * math.log(2.0 * math.pi)
@@ -134,8 +134,8 @@ def log_g_min_pdf_bound(m: int, n: int, lam: float) -> float:
     """
     if not 1 <= m <= n:
         raise DomainError(f"require 1 <= m <= n, got ({m}, {n})")
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
     nl = n * lam
     return (
         0.5 * math.log(math.pi / (2.0 * nl))
@@ -185,19 +185,13 @@ def tail_prob_upper(inst: FiniteInstance) -> TailBound:
     """
     delta, rho = inst.delta_n, inst.rho_n
     opt = optimize_gamma_for_max(delta, rho)
-    gamma, lam = opt.gamma, opt.value
+    gamma, lam = opt.gamma, math.exp(opt.value)
     # Proof-form polynomial prefactor; _tail_bound adds its sqrt-factor:
     # 2 lam (5/4)^3 sqrt-factor * (8/pi)^(1/2) gamma^(-1) n^(-7/2) lam^(-3/2).
-    log_pmax = (
-        0.5 * math.log(8.0 / math.pi)
-        - math.log(gamma)
-        - 3.5 * math.log(inst.n)
-        - 1.5 * math.log(lam)
-    )
-    log_pref = math.log(2.0) + math.log(lam) + _LOG_54_CUBED + log_pmax
+    log_pref = (math.log(2.0) + _LOG_54_CUBED + 0.5 * math.log(8.0 / math.pi)
+                - math.log(gamma) - 3.5 * math.log(inst.n) - 0.5 * opt.value)
     slope = 0.5 * ((1.0 + gamma) / lam - 1.0)
-    return _tail_bound("upper", inst, opt, lam, math.log(lam), log_pref,
-                       _net_max_raw(lam, delta, rho, gamma), slope)
+    return _tail_bound("upper", inst, opt, log_pref, _net_max_raw(lam, delta, rho, gamma), slope)
 
 
 def tail_prob_lower(inst: FiniteInstance) -> TailBound:
@@ -216,13 +210,14 @@ def tail_prob_lower(inst: FiniteInstance) -> TailBound:
     log_pref = _LOG_54_CUBED + 1.0 + 0.5 * log_lam - math.log(math.pi) - 0.5 * math.log(2.0)
     inv_lam = math.exp(-log_lam) if log_lam > -709.0 else math.inf
     slope = -0.5 * ((1.0 - gamma) * inv_lam - 1.0)
-    return _tail_bound("lower", inst, opt, math.exp(log_lam), log_lam, log_pref,
-                       _net_min_log_lambda(log_lam, delta, rho, gamma), slope)
+    net = _net_min_log_lambda(log_lam, delta, rho, gamma)
+    return _tail_bound("lower", inst, opt, log_pref, net, slope)
 
 
-def _tail_bound(side: str, inst: FiniteInstance, opt: GammaOptimum, lam: float,
-                log_lam: float, log_pref: float, net: float, slope: float) -> TailBound:
-    """One side's TailBound from its prefactor, net exponent and slope.
+def _tail_bound(side: str, inst: FiniteInstance, opt: GammaOptimum, log_pref: float,
+                net: float, slope: float) -> TailBound:
+    """One side's TailBound from its prefactor, net exponent and slope, with
+    lambda* = exp(opt.value) from the gamma search's ln lambda.
 
     Adds the factor (n N (gamma - rho) / (gamma delta (1 - rho delta)))^(1/2)
     to log_pref with ln(gamma - rho) = opt.log_offset, as the gamma search
@@ -242,8 +237,8 @@ def _tail_bound(side: str, inst: FiniteInstance, opt: GammaOptimum, lam: float,
     return TailBound(
         side=side,
         instance=inst,
-        lambda_star=lam,
-        log_lambda_star=log_lam,
+        lambda_star=math.exp(opt.value),
+        log_lambda_star=opt.value,
         gamma_used=gamma,
         psi_derivative=slope,
         log_prefactor_proof=log_pref,

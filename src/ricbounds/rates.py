@@ -72,12 +72,10 @@ def psi_max(lam: float, gamma: float) -> float:
     """Rate exponent of the largest-eigenvalue density bound.
 
     (1/2) [ (1+gamma) ln(lam) - gamma ln(gamma) + 1 + gamma - lam ],
-    for lam > 0 and gamma > 0.
+    for finite lam > 0 and finite gamma > 0.
     """
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not (0.0 < lam < math.inf and 0.0 < gamma < math.inf):
+        raise DomainError(f"lambda and gamma must be positive and finite, got {lam}, {gamma}")
     return _psi_max(lam, gamma)
 
 
@@ -92,11 +90,11 @@ def psi_min(lam: float, gamma: float) -> float:
     """Rate exponent of the smallest-eigenvalue density bound.
 
     H(gamma) + (1/2) [ (1-gamma) ln(lam) + gamma ln(gamma) + 1 - gamma - lam ],
-    for lam > 0 and gamma in (0,1).  gamma >= 1 is rejected: the smallest
-    Wishart eigenvalue degenerates to 0 there and H(gamma) leaves [0,1].
+    for finite lam > 0 and gamma in (0,1).  gamma >= 1 is rejected: the
+    smallest Wishart eigenvalue degenerates to 0 there and H(gamma) leaves [0,1].
     """
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"gamma must be in (0,1) for psi_min, got {gamma}")
     return _psi_min(lam, math.log(lam), gamma)
@@ -129,6 +127,15 @@ def _net_max_raw(lam: float, delta: float, rho: float, gamma: float) -> float:
         + shannon_entropy(rho * delta)
         - delta * _entropy_ratio_term(rho, gamma)
     )
+
+
+def _net_foot(sign: float, delta: float, rho: float, gamma: float) -> float:
+    """Net exponent at its foot lambda = 1 + sign gamma in closed form, exact
+    where 1 + sign gamma rounds: 2 psi_max(1 + gamma) = (1 + gamma) ln(1 + gamma)
+    - gamma ln gamma and 2 psi_min(1 - gamma) = H(gamma)."""
+    psi = 0.5 * ((1.0 + gamma) * math.log1p(gamma) - gamma * math.log(gamma) if sign > 0.0
+                 else shannon_entropy(gamma))
+    return delta * psi + shannon_entropy(rho * delta) - delta * _entropy_ratio_term(rho, gamma)
 
 
 # Log-lambda variants: lambda^min underflows float range for extreme

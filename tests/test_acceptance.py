@@ -90,7 +90,7 @@ def test_criterion_3_root_correctness(interior_grid):
             bt = interior_grid["bt"][(d, r)]
             checks = [
                 ("max", solve_gamma := bt.gamma_min, bt.lambda_max),
-                ("max", r, asymptotic.solve_lambda_max(d, r, r)),
+                ("max", r, math.exp(asymptotic.solve_lambda_max(d, r, r))),
             ]
             for _, g, lam in checks:
                 resid = abs(_net_max_raw(lam, d, r, g))

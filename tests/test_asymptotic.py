@@ -55,7 +55,7 @@ def net_calls(monkeypatch):
 class TestLambdaSolvers:
     def test_root_against_independent_high_precision_solve(self):
         d, r, g = 0.1, 0.5, 0.7
-        lam = solve_lambda_max(d, r, g)
+        lam = math.exp(solve_lambda_max(d, r, g))
         ref = mpmath.findroot(lambda x: mp_net_max(x, d, r, g), mpmath.mpf(lam))
         assert lam == pytest.approx(float(ref), rel=1e-11)
 
@@ -67,7 +67,7 @@ class TestLambdaSolvers:
     @settings(max_examples=60, deadline=None)
     def test_max_root_residual_and_constraint(self, d, r, t):
         g = r + t * (1.0 / d - r)
-        lam = solve_lambda_max(d, r, g)
+        lam = math.exp(solve_lambda_max(d, r, g))
         assert lam >= 1.0 + g
         assert abs(_net_max_raw(lam, d, r, g)) < 1e-12
 
@@ -84,9 +84,10 @@ class TestLambdaSolvers:
         assert abs(_net_min_log_lambda(log_lam, d, r, g)) < 1e-12
 
     def test_failures_name_the_solve(self, monkeypatch):
-        monkeypatch.setattr(asymptotic, "_net_max_raw", lambda lam, d, r, g: -1.0)
+        monkeypatch.setattr(asymptotic, "_net_foot", lambda s, d, r, g: -1.0)
         with pytest.raises(SolverError, match=r"negative at the foot of lambda\^max \(delta=0.5, rho=0.3, gamma=0.4\)"):
             solve_lambda_max(0.5, 0.3, 0.4)
+        monkeypatch.undo()
         # A jump, not a root: the bracket closes but the residual stays 1.
         monkeypatch.setattr(asymptotic, "_net_min_log_lambda", lambda x, d, r, g: 1.0 if x > -1.0 else -1.0)
         with pytest.raises(SolverError, match=r"residual above 1e-12 at lambda\^min \(delta=0.5, rho=0.3, gamma=0.4\)") as err:
@@ -158,12 +159,13 @@ class TestRoot:
             self.root(math.cos, 0.0, 3.0, 1e-14, 10.0)
 
     def test_lambda_roots_take_few_evaluations(self, net_calls):
-        # One at the foot, one for the residual: the search runs on g alone.
+        # One for the residual: the foot is closed form and the search runs
+        # on g alone.
         for d, r, g in [(0.5, 0.5, 0.7), (0.05, 0.95, 0.96), (0.5, 1e-20, 1e-20)]:
             for solve in (solve_lambda_max, solve_lambda_min):
                 net_calls[0] = 0
                 solve(d, r, g)
-                assert net_calls[0] == 2
+                assert net_calls[0] == 1
 
     def test_exact_zero_with_tolerance_below_one_ulp(self):
         # f hits 0 exactly at 2 and tol is far below the spacing of doubles
@@ -213,9 +215,9 @@ class TestGammaOptimizers:
     def test_max_optimizer_improves_on_gamma_equals_rho(self):
         for d, r in [(0.1, 0.5), (0.3, 0.2), (0.7, 0.7)]:
             opt = optimize_gamma_for_max(d, r)
-            g, lam, boundary = opt.gamma, opt.value, opt.at_boundary
+            g, lam, boundary = opt.gamma, math.exp(opt.value), opt.at_boundary
             assert r < g <= 1.0 / d
-            assert lam <= solve_lambda_max(d, r, r) + 1e-12
+            assert lam <= math.exp(solve_lambda_max(d, r, r)) + 1e-12
             if not boundary:
                 # First-order condition lam (g - rho)^2 = g^3, log form.
                 resid = abs(math.log(lam) + 2 * math.log(g - r) - 3 * math.log(g))
@@ -276,8 +278,8 @@ class TestGammaOptimizers:
         # reaches optima that sit close to rho, as in the corner.
         fracs = [10.0 ** (-12.0 * i / 400.0) for i in range(401)]
         g_hi, g_cap = 1.0 / d, min(1.0, 1.0 / d) - 1e-9
-        lam_opt = optimize_gamma_for_max(d, r).value
-        scan = min(solve_lambda_max(d, r, r + (g_hi - r) * t) for t in fracs)
+        lam_opt = math.exp(optimize_gamma_for_max(d, r).value)
+        scan = min(math.exp(solve_lambda_max(d, r, r + (g_hi - r) * t)) for t in fracs)
         assert lam_opt <= scan + 1e-9
         log_lam_opt = optimize_gamma_for_min(d, r).value
         scan = max(solve_lambda_min(d, r, r + (g_cap - r) * t) for t in fracs)
@@ -325,7 +327,7 @@ class TestGammaOptimizers:
         # The first-order exponent is flat at +0.017, then drops to -1.8e4.
         g = optimize_gamma_for_max(0.5, 0.003)
         assert net_calls[0] <= 20
-        assert abs(_net_max_raw(g.value, 0.5, 0.003, g.gamma)) <= 1e-12
+        assert abs(_net_max_raw(math.exp(g.value), 0.5, 0.003, g.gamma)) <= 1e-12
 
     @pytest.mark.parametrize("d, r", [(0.1, 0.5), (0.8, 0.8)])
     def test_each_optimizer_solves_lambda_once(self, d, r, monkeypatch):
@@ -368,7 +370,7 @@ class TestFamilies:
     def test_bct_nu_fix_never_hurts(self):
         for d, r in [(0.1, 0.5), (0.5, 0.3), (0.8, 0.1)]:
             b = bct_bounds(d, r)
-            assert b.U <= solve_lambda_max(d, r, r) - 1.0 + 1e-10
+            assert b.U <= math.exp(solve_lambda_max(d, r, r)) - 1.0 + 1e-10
             assert r <= b.nu_opt <= 1.0
 
     @pytest.mark.parametrize("d, r", [(0.3, 0.2), (0.97, 0.46), (0.9, 0.7)])
@@ -376,10 +378,23 @@ class TestFamilies:
         b = bct_bounds(d, r)
         assert b.nu_opt in (r, 1.0 - 1e-12)
         scan = min(
-            solve_lambda_max(d, nu, nu)
+            math.exp(solve_lambda_max(d, nu, nu))
             for nu in [r + (1 - 1e-9 - r) * i / 2000.0 for i in range(2001)]
         )
         assert b.lambda_max <= scan + 1e-8
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-12])
+    def test_bct_upper_at_tiny_rho_against_high_precision(self, r):
+        # 1 + rho rounds here; the foot's closed form keeps the rho-sized
+        # terms.  At gamma = nu = rho the entropy-ratio term vanishes.
+        b = bct_bounds(0.5, r)
+        assert b.nu_opt == r
+        with mpmath.workdps(80):
+            d, g = mpmath.mpf(0.5), mpmath.mpf(r)
+            H = lambda p: -p * mpmath.log(p) - (1 - p) * mpmath.log1p(-p)
+            net = lambda u: d * ((1 + g) * mpmath.log1p(u) - g * mpmath.log(g) + g - u) / 2 + H(g * d)
+            ref = mpmath.findroot(net, (g, 1), solver="anderson")
+        assert b.U == pytest.approx(float(ref), rel=1e-10)
 
     def test_bct_solves_lambda_three_times(self, monkeypatch):
         calls = {"max": 0, "min": 0}

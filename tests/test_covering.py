@@ -51,6 +51,11 @@ class TestPlan:
         with pytest.raises(DomainError):
             CoveringPlan(N=12, k=3, m=6, seed=0, u=-5)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            CoveringPlan(N=12, k=3, m=6, seed=seed)
+
 
 def _oracle_uncovered(plan: CoveringPlan) -> int:
     """The k-subsets of {0..N-1} in none of the plan's draws, by set

@@ -192,6 +192,14 @@ class TestLocalSearch:
         with pytest.raises(DomainError):
             local_search(s, 2, "upper", restarts=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, "1"])
+    def test_seed_validation(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            sample_gaussian(5, 10, seed)
+        with pytest.raises(DomainError, match="seed"):
+            local_search(sample_gaussian(5, 10, 1), 2, "upper", restarts=1, seed=seed)
+        assert sample_gaussian(5, 10, np.int64(3)).seed == 3
+
 
 def _per_swap_search(sample, k, mode, restarts, seed):
     """Local search with one eigh call per trial swap: the loop that the

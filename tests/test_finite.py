@@ -97,6 +97,18 @@ class TestPdfBounds:
         with pytest.raises(DomainError):
             log_g_max_pdf_bound(2, 4, 0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda x: psi_max(x, 0.5),
+        lambda x: psi_max(2.0, x),
+        lambda x: psi_min(x, 0.5),
+        lambda x: log_g_max_pdf_bound(2, 4, x),
+        lambda x: log_g_min_pdf_bound(2, 4, x),
+    ], ids=["psi_max-lam", "psi_max-gamma", "psi_min-lam", "g_max-lam", "g_min-lam"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_argument_raises_not_nan(self, call, x):
+        with pytest.raises(DomainError):
+            call(x)
+
 
 class TestCoveringFailureBound:
     def test_against_high_precision(self):
