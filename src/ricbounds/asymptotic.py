@@ -163,44 +163,64 @@ def _root(f, a, b, tol, limit, fa):
 _WHERE = "{} {} (delta={}, rho={}, gamma={})"
 
 
-def _lambert_g(y: float, eps: float) -> float:
-    """eps + y - expm1(y); the cap on y only deepens a value already below 0."""
-    return eps + y - math.expm1(min(y, 709.0))
+# Branch-point series of Corless et al., "On the Lambert W function" (Adv.
+# Comput. Math. 5, 1996), section 4: (1 + W) / p to p^7, highest power first.
+_BRANCH_SERIES = (-1963 / 204120, 680863 / 43545600, -221 / 8505, 769 / 17280,
+                  -43 / 540, 11 / 72, -1 / 3, 1.0)
+# 1/k!, k = 14 down to 2: (expm1(y) - y) / y^2 to double precision for |y| < 1/4.
+_EXPM1_TAIL = tuple(1.0 / math.factorial(k) for k in range(14, 1, -1))
+
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _lambert_y(eps: float, sign: float) -> float:
+    """Root y = -eps - (1 + W(-e^(-1-eps))) of expm1(y) - y = eps >= 0 on the
+    sign side of 0 (W_-1 for sign > 0, else W_0): the branch-point series in
+    p = -sign sqrt(2 (1 - e^-eps)) for eps < 1, else ln(2 + eps + ln(1 + eps))
+    or -1 - eps, then three Halley steps on h(y) = expm1(y) - y - eps.  For
+    |y| < 1/4 expm1(y) - y is its Taylor sum, so h does not cancel."""
+    if eps == 0.0:
+        return 0.0
+    if eps < 1.0:
+        p = -sign * math.sqrt(-2.0 * math.expm1(-eps))
+        y = -eps - p * _horner(_BRANCH_SERIES, p)
+    else:
+        y = math.log(2.0 + eps + math.log1p(eps)) if sign > 0.0 else -1.0 - eps
+    for _ in range(3):
+        d = y * y * _horner(_EXPM1_TAIL, y) if abs(y) < 0.25 else math.expm1(y) - y
+        em = d + y  # expm1(y) = h'
+        r = (d - eps) / em
+        y -= r / (1.0 - 0.5 * r * (1.0 + em) / em)  # Halley, h'' / h' = (1 + em) / em
+    return y
 
 
 def _solve_lambda(f, sign, side, delta, rho, gamma):
-    """ln lambda = ln a + y at the root of the net exponent f(ln lambda), on
-    the sign side of its foot y = 0, lambda = a = 1 + sign gamma.
-
-    Along y, f = (delta a / 2) g(y) exactly, g(y) = eps + y - expm1(y) with
-    eps = 2 F(a) / (delta a) >= 0: both roots are real branches of the
-    Lambert W function at -e^(-1-eps) (Corless et al., "On the Lambert W
-    function", Adv. Comput. Math. 5, 1996).  g(0) = eps > 0 >= g(sign (2 + eps)),
-    so _root starts on that bracket and never expands it.  F(a) comes from
-    _net_foot's closed form, which keeps the gamma-sized terms where a
-    rounds; eps and expm1 stay exact where -1 - eps would round to -1.  f is
+    """ln lambda = ln a + y at the root of the net exponent f(ln lambda) on
+    the sign side of its foot a = 1 + sign gamma: f = (delta a / 2)(eps + y
+    - expm1(y)) exactly, eps = 2 F(a) / (delta a) >= 0 from _net_foot's
+    closed form (exact where a rounds), and y from _lambert_y.  f is
     evaluated once, at the root, which must meet the 1e-12 residual; each
-    failure raises SolverError naming the solve.
-    """
+    failure raises SolverError naming the solve."""
     f_foot = _net_foot(sign, delta, rho, gamma)
     if f_foot < 0.0:
         raise SolverError(_WHERE.format("net exponent negative at the foot of", side, delta, rho, gamma))
-    x0 = math.log1p(sign * gamma)
     eps = 2.0 * f_foot / (delta * (1.0 + sign * gamma))
-    end = sign * (2.0 + eps)
-    ya, yb = _root(lambda y: _lambert_g(y, eps), 0.0, end, 1e-16, end, eps)
-    lo, hi = x0 + ya, x0 + yb
-    root = 0.5 * (lo + hi)
+    root = math.log1p(sign * gamma) + _lambert_y(eps, sign)
     residual = abs(f(root))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # a nan residual fails too
         msg = _WHERE.format(f"residual above {RESIDUAL_TOL:g} at", side, delta, rho, gamma)
-        raise SolverError(f"{msg}: |f| = {residual:g} at {root!r}, bracket [{lo!r}, {hi!r}]")
+        raise SolverError(f"{msg}: |f| = {residual:g} at {root!r}")
     return root
 
 
 def solve_lambda_max(delta: float, rho: float, gamma: float) -> float:
     """ln of the root lambda >= 1 + gamma of the net upper-tail exponent,
-    ln(1 + gamma) + y with y from _solve_lambda to 1e-16."""
+    ln(1 + gamma) + y with y in closed form from _solve_lambda."""
     _validate_point(delta, rho)
     if not (rho <= gamma <= 1.0 / delta):
         raise DomainError(f"gamma={gamma} outside [rho, 1/delta]")

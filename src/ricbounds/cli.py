@@ -26,9 +26,10 @@ import sys
 import time
 
 import click
-import numpy as np
 
-from . import asymptotic, covering, empirical, finite
+# numpy, empirical and covering load inside the commands that use them, so
+# the other commands start without numpy.
+from . import asymptotic, finite
 from .errors import DomainError, IOFailure, RicBoundsError
 from .svgfig import curve_svg, heatmap_svg
 
@@ -262,6 +263,8 @@ def empirical_cmd(ctx, n_rows, sizes, k_frac, k_fixed, restarts):
 
     Guard violations are reported per cell; the sweep continues.
     """
+    from . import empirical
+
     try:
         n_list = [int(s) for s in sizes.split(",") if s.strip()]
     except ValueError:
@@ -342,6 +345,9 @@ def phase_cmd(ctx, delta_steps, delta_min, delta_max, families):
 @click.pass_context
 def cover_cmd(ctx, n_universe, k, m, u, trials, details):
     """Monte-Carlo check of the random covering construction."""
+    import numpy as np
+    from . import covering
+
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     plan = covering.CoveringPlan(N=n_universe, k=k, m=m, u=u)

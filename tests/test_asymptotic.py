@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from ricbounds import asymptotic
 from ricbounds.asymptotic import (
     L1_THRESHOLD,
-    _lambert_g,
+    _lambert_y,
     _root,
     bct_bounds,
     bt_bounds,
@@ -66,7 +67,8 @@ class TestLambdaSolvers:
     )
     @settings(max_examples=60, deadline=None)
     def test_max_root_residual_and_constraint(self, d, r, t):
-        g = r + t * (1.0 / d - r)
+        # r + (1/d - r) can round one ulp above 1/d, outside gamma's domain.
+        g = min(r + t * (1.0 / d - r), 1.0 / d)
         lam = math.exp(solve_lambda_max(d, r, g))
         assert lam >= 1.0 + g
         assert abs(_net_max_raw(lam, d, r, g)) < 1e-12
@@ -88,29 +90,44 @@ class TestLambdaSolvers:
         with pytest.raises(SolverError, match=r"negative at the foot of lambda\^max \(delta=0.5, rho=0.3, gamma=0.4\)"):
             solve_lambda_max(0.5, 0.3, 0.4)
         monkeypatch.undo()
-        # A jump, not a root: the bracket closes but the residual stays 1.
+        # f is +-1 everywhere, so the residual at the closed-form root is 1.
         monkeypatch.setattr(asymptotic, "_net_min_log_lambda", lambda x, d, r, g: 1.0 if x > -1.0 else -1.0)
         with pytest.raises(SolverError, match=r"residual above 1e-12 at lambda\^min \(delta=0.5, rho=0.3, gamma=0.4\)") as err:
             solve_lambda_min(0.5, 0.3, 0.4)
-        # The message also names the residual, the root and the final
-        # bracket, both in ln(lambda).
-        m = re.search(r"\): \|f\| = 1 at (\S+), bracket \[(\S+), (\S+)\]$", str(err.value))
-        root, a, b = map(float, m.groups())
-        assert root == 0.5 * (a + b)
+        # The message also names the residual and the root, in ln(lambda),
+        # on the lower side of the foot ln(1 - gamma).
+        m = re.search(r"\): \|f\| = 1 at (\S+)$", str(err.value))
+        assert float(m.group(1)) < math.log1p(-0.4)
+        # A nan residual is a failure too, not a silent nan.
+        monkeypatch.setattr(asymptotic, "_net_max_raw", lambda lam, d, r, g: math.nan)
+        with pytest.raises(SolverError, match=r"\|f\| = nan"):
+            solve_lambda_max(0.5, 0.3, 0.4)
 
-    @given(
-        st.one_of(
-            st.sampled_from([5e-324, 1e-300]),
-            st.floats(min_value=1e-20, max_value=1e12),
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_closed_form_bracket_holds_in_doubles(self, eps):
-        # The lambda solves start _root on [0, +-(2 + eps)]; a sign change
-        # there in doubles means _root never expands its bracket.
-        assert _lambert_g(0.0, eps) > 0.0
-        assert _lambert_g(2.0 + eps, eps) <= 0.0
-        assert _lambert_g(-(2.0 + eps), eps) <= 0.0
+    def test_closed_form_against_mpmath_lambertw(self):
+        # y = -eps - (1 + W(-e^(-1-eps))), W_-1 above the foot and W_0 below;
+        # -e^(-1-eps) needs 40 + |log10 eps| digits to differ from -1/e.  A
+        # second draw covers [1e-4, 10], where the Taylor sum, the series'
+        # start and the eps = 1 switch take over from one another.
+        rng = random.Random(0)
+        eps_values = ([5e-324, 1e-300, 1.0, 1e12] + [10.0 ** rng.uniform(-323.3, 12.0) for _ in range(300)]
+                      + [10.0 ** rng.uniform(-4.0, 1.0) for _ in range(100)])
+        for eps in eps_values:
+            with mpmath.workdps(40 + int(abs(math.log10(eps)))):
+                z = -mpmath.exp(-1 - mpmath.mpf(eps))
+                for sign, branch in ((1.0, -1), (-1.0, 0)):
+                    ref = -mpmath.mpf(eps) - (1 + mpmath.lambertw(z, branch).real)
+                    y = _lambert_y(eps, sign)
+                    assert abs((y - ref) / ref) < 1e-15, (eps, sign, y)
+
+    @pytest.mark.parametrize("rho", [1e-40, 1e-150, 1e-300])
+    @pytest.mark.parametrize("delta", [0.01, 0.5, 0.99])
+    def test_tiny_rho_matches_leading_order(self, delta, rho):
+        # As rho -> 0 both bounds approach sqrt(2 rho (3 - 2 ln delta - 3 ln rho)),
+        # with relative corrections of order sqrt(rho |ln rho|): below 1e-18 here.
+        ref = math.sqrt(2.0 * rho * (3.0 - 2.0 * math.log(delta) - 3.0 * math.log(rho)))
+        for b in (bt_bounds(delta, rho), bct_bounds(delta, rho)):
+            assert b.U == pytest.approx(ref, rel=1e-14, abs=0.0)
+            assert b.L == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):

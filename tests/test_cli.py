@@ -26,13 +26,22 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
-def test_import_loads_no_scipy():
-    # scipy.optimize alone adds about half a second to interpreter start-up.
-    probe = "import sys, ricbounds.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def top_level_modules_after_importing_cli() -> set[str]:
+    probe = "import json, sys, ricbounds.cli; print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return set(json.loads(done.stdout))
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize alone adds about half a second to interpreter start-up.
+    assert "scipy" not in top_level_modules_after_importing_cli()
+
+
+def test_import_loads_no_numpy():
+    # bounds, finite, grid and phase need no numpy; empirical and cover import it.
+    assert "numpy" not in top_level_modules_after_importing_cli()
 
 
 def load_schema():
@@ -83,7 +92,8 @@ class TestBounds:
     def test_tiny_rho_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "--format", "json", "bounds", "0.5", "1e-150")
         assert code == 0, err
-        assert math.isfinite(json.loads(out)["results"]["U"])
+        # The root of the net exponent at gamma = rho, by mpmath at 400 digits.
+        assert json.loads(out)["results"]["U"] == pytest.approx(4.561906588715820e-74, rel=1e-12, abs=0.0)
 
     def test_delta_below_one_ulp_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "1e-20", "0.5")
