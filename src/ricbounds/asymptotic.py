@@ -239,52 +239,48 @@ def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
         lambda x: _net_min_log_lambda(x, delta, rho, gamma), -1.0, "lambda^min", delta, rho, gamma)
 
 
-def _first_order_max(log_lam: float, gamma: float, log_offset: float) -> float:
-    """ln of lambda^max (gamma-rho)^2 / gamma^3, zero at an interior optimum.
-
-    log_offset = ln(gamma - rho), passed explicitly: for offsets below one
-    ulp of rho it cannot be recomputed from gamma = rho + offset.
-    """
-    return log_lam + 2.0 * log_offset - 3.0 * math.log(gamma)
-
-
-def _first_order_min(log_lam: float, gamma: float, log_offset: float) -> float:
-    """ln of gamma^3 lambda^min / ((1-gamma)^2 (gamma-rho)^2), zero at an
-    interior optimum."""
-    return 3.0 * math.log(gamma) + log_lam - 2.0 * math.log1p(-gamma) - 2.0 * log_offset
+def _first_order_y(sign: float, gamma: float, log_offset: float) -> float:
+    """y_1 = ln(lambda_1 / (1 + sign gamma)) at the lambda_1 that the BT
+    first-order condition gives: ln lambda_1 = 3 ln gamma - 2 log_offset
+    (upper) or 2 ln(1 - gamma) + 2 log_offset - 3 ln gamma (lower).
+    log_offset = ln(gamma - rho) is passed explicitly: for offsets below one
+    ulp of rho it cannot be recomputed from gamma = rho + offset."""
+    return sign * (3.0 * math.log(gamma) - 2.0 * log_offset - math.log1p(sign * gamma))
 
 
 def stationarity_residual(b: AsymptoticBound, side: str) -> float | None:
-    """Signed first-order condition of the BT gamma search at the chosen gamma.
-
-    side "upper": ln lambda^max + 2 ln(gamma_min - rho) - 3 ln gamma_min;
-    side "lower": 3 ln gamma_max + ln lambda^min - 2 ln(1 - gamma_max)
-    - 2 ln(gamma_max - rho).  Both use the carried log_gamma_offset_*, so
-    they stay finite where gamma - rho rounds to 0.0.  At an interior
-    optimum the value is ~0 and expm1 of it is the relative defect.  At an
-    edge optimum (boundary_upper / boundary_lower) it does not vanish; its
-    sign certifies the edge: negative at gamma = 1/delta on the upper side,
-    positive at the cap on the lower side.  None for families without a
-    gamma search (BCT, CT).
+    """Signed first-order condition of the BT gamma search at the chosen
+    gamma, ln lambda - ln(1 +- gamma) - _first_order_y: the ln of
+    lambda^max (gamma_min - rho)^2 / gamma_min^3 on side "upper" and of
+    gamma_max^3 lambda^min / ((1 - gamma_max)^2 (gamma_max - rho)^2) on side
+    "lower".  Both use the carried log_gamma_offset_*, so they stay finite
+    where gamma - rho rounds to 0.0.  At an interior optimum the value is ~0
+    and expm1 of it is the relative defect.  At an edge optimum
+    (boundary_upper / boundary_lower) it does not vanish; its sign certifies
+    the edge: negative at gamma = 1/delta on the upper side, positive at the
+    cap on the lower side.  None for families without a gamma search (BCT,
+    CT).
     """
     if side == "upper":
-        if b.log_gamma_offset_min is None:
-            return None
-        return _first_order_max(math.log(b.lambda_max), b.gamma_min, b.log_gamma_offset_min)
-    if side == "lower":
-        if b.log_gamma_offset_max is None:
-            return None
-        return _first_order_min(b.log_lambda_min, b.gamma_max, b.log_gamma_offset_max)
-    raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
+        sign, log_lam, gamma, log_offset = 1.0, math.log(b.lambda_max), b.gamma_min, b.log_gamma_offset_min
+    elif side == "lower":
+        sign, log_lam, gamma, log_offset = -1.0, b.log_lambda_min, b.gamma_max, b.log_gamma_offset_max
+    else:
+        raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
+    if log_offset is None:
+        return None
+    return log_lam - math.log1p(sign * gamma) - _first_order_y(sign, gamma, log_offset)
 
 
-def _gamma_search(delta, rho, g_edge, net_at_first_order, solve) -> GammaOptimum:
+def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
     """Shared body of the BT gamma searches, on u = ln(gamma - rho).
 
-    At an interior optimum the first-order condition gives lambda in closed
-    form, lambda_1(u); net_at_first_order(u) is the net exponent F at
-    lambda_1 clamped to the side constraint.  F is positive at its foot
-    1 +- gamma (psi > 0 there, and H(rho delta) >= delta gamma H(rho/gamma)
+    At an interior optimum the first-order condition gives y_1(u) =
+    ln(lambda_1 / a), a = 1 + sign gamma, in closed form (_first_order_y).
+    The target is the net exponent F at y_1 clamped to the side constraint,
+    in the lambda solves' form F(a) - (delta a / 2)(expm1(y) - y), which
+    keeps its digits where lambda_1 is within an ulp of a.  F is positive
+    at its foot a (psi > 0 there, and H(rho delta) >= delta gamma H(rho/gamma)
     as H is concave, H(0) = 0 and delta gamma <= 1) and monotone past it
     through its root lambda^max or lambda^min.  So the clamped value is
     positive exactly where lambda_1 lies between the foot and that root, the
@@ -293,6 +289,13 @@ def _gamma_search(delta, rho, g_edge, net_at_first_order, solve) -> GammaOptimum
     g_edge puts the optimum there; else _root finds the sign change below it.
     One lambda solve at the chosen gamma keeps the residual check.
     """
+
+    def net_at_first_order(u):
+        gamma = min(rho + math.exp(u), g_edge)
+        # F is negative at any y_1 past 709; the cap keeps expm1 finite.
+        y = min(sign * max(sign * _first_order_y(sign, gamma, u), 0.0), 709.0)
+        return _net_foot(sign, delta, rho, gamma) - 0.5 * delta * (1.0 + sign * gamma) * (math.expm1(y) - y)
+
     u = math.log(g_edge - rho)
     f_edge = net_at_first_order(u)
     at_edge = f_edge < 0.0
@@ -307,47 +310,30 @@ def _gamma_search(delta, rho, g_edge, net_at_first_order, solve) -> GammaOptimum
 def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
     """Minimizing gamma for the upper bound over [rho, 1/delta].
 
-    The interior optimum solves lambda^max (gamma-rho)^2 = gamma^3: the
-    search (_gamma_search) runs on F_max(max(lambda_1, 1 + gamma)) with
-    ln lambda_1 = 3 ln gamma - 2u.  psi_max(1 + gamma, gamma) > 0 and
-    dF/dlambda = (delta/2)((1+gamma)/lambda - 1) < 0 past the foot.
-    Below delta = 2**-52 it raises DomainError rather than return U ~ 1/delta.
+    The interior optimum solves lambda^max (gamma-rho)^2 = gamma^3.
+    psi_max(1 + gamma, gamma) > 0 and dF/dlambda = (delta/2)((1+gamma)/lambda
+    - 1) < 0 past the foot.  Below delta = 2**-52 it raises DomainError
+    rather than return U ~ 1/delta.
     """
     _validate_point(delta, rho)
     if delta < 2.0**-52:
         raise DomainError(f"delta={delta} below 2**-52: at gamma = 1/delta the terms of the"
                           " upper net exponent cancel below one ulp")
-    g_hi = 1.0 / delta
-
-    def f(u):
-        gamma = min(rho + math.exp(u), g_hi)
-        # F is negative at any lambda_1 past e^709; the cap keeps exp finite.
-        lam = math.exp(min(-_first_order_max(0.0, gamma, u), 709.0))
-        return _net_max_raw(max(lam, 1.0 + gamma), delta, rho, gamma)
-
-    return _gamma_search(delta, rho, g_hi, f, solve_lambda_max)
+    return _gamma_search(1.0, delta, rho, 1.0 / delta, solve_lambda_max)
 
 
 def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
     """Minimizing gamma for the lower bound over [rho, 1).
 
-    The interior optimum solves gamma^3 lambda^min = (1-gamma)^2 (gamma-rho)^2:
-    the search (_gamma_search) runs on F_min(min(ln lambda_1, ln(1-gamma)))
-    with ln lambda_1 = 2 ln(1-gamma) + 2u - 3 ln gamma.  psi_min = H(gamma)/2
-    at the foot and dF/d ln lambda = (delta/2)(1 - gamma - lambda) > 0 below
-    it.  The open right end of the interval is approached through a guard.
+    The interior optimum solves gamma^3 lambda^min = (1-gamma)^2 (gamma-rho)^2.
+    psi_min = H(gamma)/2 at the foot and dF/d ln lambda = (delta/2)(1 - gamma
+    - lambda) > 0 below it.  The open right end is approached through a guard.
     """
     _validate_point(delta, rho)
     g_cap = 1.0 - 1e-9
     if g_cap <= rho:
         return GammaOptimum(rho, solve_lambda_min(delta, rho, rho), True, -math.inf)
-
-    def f(u):
-        gamma = rho + math.exp(u)
-        log_lam = -_first_order_min(0.0, gamma, u)
-        return _net_min_log_lambda(min(log_lam, math.log1p(-gamma)), delta, rho, gamma)
-
-    return _gamma_search(delta, rho, g_cap, f, solve_lambda_min)
+    return _gamma_search(-1.0, delta, rho, g_cap, solve_lambda_min)
 
 
 def _bound(family, delta, rho, log_max, log_min, **groups) -> AsymptoticBound:

@@ -130,11 +130,10 @@ def _net_max_raw(lam: float, delta: float, rho: float, gamma: float) -> float:
 
 
 def _net_foot(sign: float, delta: float, rho: float, gamma: float) -> float:
-    """Net exponent at its foot lambda = 1 + sign gamma in closed form, exact
-    where 1 + sign gamma rounds: 2 psi_max(1 + gamma) = (1 + gamma) ln(1 + gamma)
-    - gamma ln gamma and 2 psi_min(1 - gamma) = H(gamma)."""
-    psi = 0.5 * ((1.0 + gamma) * math.log1p(gamma) - gamma * math.log(gamma) if sign > 0.0
-                 else shannon_entropy(gamma))
+    """Net exponent at its foot a = 1 + sign gamma in closed form, exact where
+    a rounds: 2 psi(a) = sign a ln a - gamma ln gamma on both sides, which
+    is H(gamma) for psi_min."""
+    psi = 0.5 * (sign * (1.0 + sign * gamma) * math.log1p(sign * gamma) - gamma * math.log(gamma))
     return delta * psi + shannon_entropy(rho * delta) - delta * _entropy_ratio_term(rho, gamma)
 
 

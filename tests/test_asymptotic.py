@@ -24,7 +24,7 @@ from ricbounds.asymptotic import (
     stationarity_residual,
 )
 from ricbounds.errors import DomainError, RicBoundsError, SolverError
-from ricbounds.rates import _net_max_raw, _net_min_log_lambda, shannon_entropy
+from ricbounds.rates import _net_foot, _net_max_raw, _net_min_log_lambda, shannon_entropy
 
 mpmath.mp.dps = 40
 
@@ -48,6 +48,7 @@ def net_calls(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(asymptotic, "_net_foot", counted(_net_foot))
     monkeypatch.setattr(asymptotic, "_net_max_raw", counted(_net_max_raw))
     monkeypatch.setattr(asymptotic, "_net_min_log_lambda", counted(_net_min_log_lambda))
     return calls
@@ -125,9 +126,14 @@ class TestLambdaSolvers:
         # As rho -> 0 both bounds approach sqrt(2 rho (3 - 2 ln delta - 3 ln rho)),
         # with relative corrections of order sqrt(rho |ln rho|): below 1e-18 here.
         ref = math.sqrt(2.0 * rho * (3.0 - 2.0 * math.log(delta) - 3.0 * math.log(rho)))
-        for b in (bt_bounds(delta, rho), bct_bounds(delta, rho)):
+        bt = bt_bounds(delta, rho)
+        for b in (bt, bct_bounds(delta, rho)):
             assert b.U == pytest.approx(ref, rel=1e-14, abs=0.0)
             assert b.L == pytest.approx(ref, rel=1e-14, abs=0.0)
+        # The gamma searches keep their first-order root where lambda is
+        # within an ulp of 1 +- gamma.
+        for side in ("upper", "lower"):
+            assert abs(stationarity_residual(bt, side)) <= 1e-12
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -176,13 +182,13 @@ class TestRoot:
             self.root(math.cos, 0.0, 3.0, 1e-14, 10.0)
 
     def test_lambda_roots_take_few_evaluations(self, net_calls):
-        # One for the residual: the foot is closed form and the search runs
-        # on g alone.
+        # One at the foot, in closed form, and one for the residual: y itself
+        # comes without a search.
         for d, r, g in [(0.5, 0.5, 0.7), (0.05, 0.95, 0.96), (0.5, 1e-20, 1e-20)]:
             for solve in (solve_lambda_max, solve_lambda_min):
                 net_calls[0] = 0
                 solve(d, r, g)
-                assert net_calls[0] == 1
+                assert net_calls[0] == 2
 
     def test_exact_zero_with_tolerance_below_one_ulp(self):
         # f hits 0 exactly at 2 and tol is far below the spacing of doubles

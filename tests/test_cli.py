@@ -92,8 +92,11 @@ class TestBounds:
     def test_tiny_rho_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "--format", "json", "bounds", "0.5", "1e-150")
         assert code == 0, err
+        rec = json.loads(out)["results"]
         # The root of the net exponent at gamma = rho, by mpmath at 400 digits.
-        assert json.loads(out)["results"]["U"] == pytest.approx(4.561906588715820e-74, rel=1e-12, abs=0.0)
+        assert rec["U"] == pytest.approx(4.561906588715820e-74, rel=1e-12, abs=0.0)
+        assert rec["stationarity_residual_upper"] <= 1e-12
+        assert rec["stationarity_residual_lower"] <= 1e-12
 
     def test_delta_below_one_ulp_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "1e-20", "0.5")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ricbounds.errors import DomainError
 from ricbounds.rates import (
     ProblemShape,
+    _net_foot,
+    _net_max_raw,
     _net_min_log_lambda,
     binet_log_gamma_lower,
     log_binomial_bounds,
@@ -131,6 +133,37 @@ class TestNetExponents:
         )
         got = _net_min_log_lambda(math.log(lam), d, r, g)
         assert got == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
+    def test_foot_matches_generic_exponents(self, d):
+        # Where 1 +- gamma is a double of its own, the closed form agrees with
+        # the generic exponents at lambda = 1 +- gamma to a few ulps of the
+        # largest term.
+        for i in range(200):
+            g = 1e-3 * 999.0 ** (i / 199)
+            for r in (g, 0.5 * g, 1e-3 * g):
+                scale = 1.0 + g + shannon_entropy(r * d)
+                tol = 8.0 * math.ulp(scale)
+                assert _net_foot(1.0, d, r, g) == pytest.approx(_net_max_raw(1.0 + g, d, r, g), rel=0.0, abs=tol)
+                lower = _net_min_log_lambda(math.log1p(-g), d, r, g)
+                assert _net_foot(-1.0, d, r, g) == pytest.approx(lower, rel=0.0, abs=tol)
+
+    @pytest.mark.parametrize("rho", [1e-20, 1e-150])
+    @pytest.mark.parametrize("d", [0.01, 0.5, 0.99])
+    def test_foot_where_one_plus_gamma_rounds(self, d, rho):
+        # At gamma = rho, 1 +- gamma rounds to 1 and the generic exponents lose
+        # every gamma-sized term; the closed form keeps them.  The entropy-ratio
+        # term vanishes at gamma = rho.
+        with mpmath.workdps(400):
+            md, mr = mpmath.mpf(d), mpmath.mpf(rho)
+            H = lambda p: -p * mpmath.log(p) - (1 - p) * mpmath.log(1 - p)
+            for sign in (1, -1):
+                lam = 1 + sign * mr
+                psi = 0.5 * ((1 + sign * mr) * mpmath.log(lam) - sign * mr * mpmath.log(mr) + 1 + sign * mr - lam)
+                if sign < 0:
+                    psi += H(mr)
+                ref = float(md * psi + H(mr * md))
+                assert _net_foot(float(sign), d, rho, rho) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestProblemShape:
