@@ -43,12 +43,10 @@ L1_THRESHOLD = math.sqrt(2.0) - 1.0
 
 # Root residual target for the implicit lambda equations.
 RESIDUAL_TOL = 1e-12
-# Relative width target for gamma location searches.
-GAMMA_TOL = 1e-10
+# Step in u = ln(gamma - rho), at most as much relative in gamma, that ends a BT search.
+GAMMA_TOL = 1e-12
 
-# Floor of the BT searches on u = ln(gamma - rho): u < -1e6 as rho -> 1.
-_LOG_FLOOR = -1e12
-# Step cap of the bracket-narrowing loop in _root.
+# Step cap of the root loops: _root and the BT gamma search.
 _ROOT_STEPS = 200
 
 
@@ -273,47 +271,57 @@ def stationarity_residual(b: AsymptoticBound, side: str) -> float | None:
 
 
 def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
-    """Shared body of the BT gamma searches, on u = ln(gamma - rho).
+    """Shared body of the BT gamma searches: safeguarded Newton on u = ln(gamma - rho).
 
-    At an interior optimum the first-order condition gives y_1(u) =
-    ln(lambda_1 / a), a = 1 + sign gamma, in closed form (_first_order_y).
-    The target is the net exponent F at y_1 clamped to the side constraint,
-    in the lambda solves' form F(a) - (delta a / 2)(expm1(y) - y), which
-    keeps its digits where lambda_1 is within an ulp of a.  F is positive
-    at its foot a (psi > 0 there, and H(rho delta) >= delta gamma H(rho/gamma)
-    as H is concave, H(0) = 0 and delta gamma <= 1) and monotone past it
-    through its root lambda^max or lambda^min.  So the clamped value is
-    positive exactly where lambda_1 lies between the foot and that root, the
-    sign of the first-order expression (negated on the lower side), and F's
-    root on the far side of the foot is never reached.  A negative value at
-    g_edge puts the optimum there; else _root finds the sign change below it.
-    One lambda solve at the chosen gamma keeps the residual check.
+    With gamma = rho + o, o = e^u, a = 1 + sign gamma and eps = 2 F(a) / (delta
+    a), the gap g(u) = |y| - sign y_1 compares the lambda solve's offset y =
+    ln(lambda / a) = _lambert_y(eps, sign) with the first-order offset y_1 =
+    _first_order_y(sign, gamma, u).  F is positive at its foot (psi > 0, and
+    H(rho delta) >= delta gamma H(rho/gamma) by concavity) and monotone past
+    it, so g > 0 exactly where lambda_1 lies between the foot and F's root:
+    g <= 0 at g_edge puts the optimum there, else g's root is the optimum.
+    g' = 2 - o((y_1 + eps) / (a expm1(y)) + 3/gamma - sign/a), as d eps/d gamma
+    = -sign (y_1 + eps) / a.  For o << rho, g = |y(rho)| - 3 ln rho + ln(1 +
+    sign rho) + 2u, a line; the search starts at its root, capped one below
+    the edge.  g is concave below its root, so Newton steps from g <= 0 stay
+    below it and one from above lands below it.  A step that leaves the
+    bracket of known signs, or meets a slope <= 0, bisects it, or while no
+    g <= 0 is known steps down by twice its distance from the edge.  It stops
+    on a step below max(GAMMA_TOL / 2, 2 ulp(u)) (u reaches -8e7), taking it.
     """
 
-    def net_at_first_order(u):
-        gamma = min(rho + math.exp(u), g_edge)
-        # F is negative at any y_1 past 709; the cap keeps expm1 finite.
-        y = min(sign * max(sign * _first_order_y(sign, gamma, u), 0.0), 709.0)
-        return _net_foot(sign, delta, rho, gamma) - 0.5 * delta * (1.0 + sign * gamma) * (math.expm1(y) - y)
+    def gap(u, o):
+        gamma = min(rho + o, g_edge)
+        a = 1.0 + sign * gamma
+        eps = 2.0 * _net_foot(sign, delta, rho, gamma) / (delta * a)
+        y, y1 = _lambert_y(eps, sign), _first_order_y(sign, gamma, u)
+        return sign * (y - y1), 2.0 - o * ((y1 + eps) / (a * math.expm1(y)) + 3.0 / gamma - sign / a)
 
-    u = math.log(g_edge - rho)
-    f_edge = net_at_first_order(u)
-    at_edge = f_edge < 0.0
-    gamma = g_edge
-    if not at_edge:
-        a, b = _root(net_at_first_order, u, u - 1.0, GAMMA_TOL * 1e-2, _LOG_FLOOR, f_edge)
-        u = 0.5 * (a + b)
-        gamma = rho + math.exp(u)
-    return GammaOptimum(gamma, solve(delta, rho, gamma), at_edge, u)
+    u_edge = math.log(g_edge - rho)
+    if gap(u_edge, math.exp(u_edge))[0] <= 0.0:
+        return GammaOptimum(g_edge, solve(delta, rho, g_edge), True, u_edge)
+    lo, hi = -math.inf, u_edge
+    u = min(-0.5 * gap(0.0, 0.0)[0], u_edge - 1.0)  # the line's root, from g at o = 0
+    for _ in range(_ROOT_STEPS):
+        g, slope = gap(u, math.exp(u))
+        lo, hi = (lo, u) if g > 0.0 else (u, hi)
+        x = u - g / slope if slope > 0.0 else -math.inf
+        if abs(x - u) <= max(0.5 * GAMMA_TOL, 2.0 * math.ulp(u)):
+            break
+        u = x if lo < x < hi else 0.5 * (lo + hi) if lo > -math.inf else 3.0 * hi - 2.0 * u_edge
+    else:
+        raise SolverError(f"gamma search left [{lo!r}, {hi!r}] unresolved (delta={delta}, rho={rho})")
+    gamma = min(rho + math.exp(x), g_edge)
+    return GammaOptimum(gamma, solve(delta, rho, gamma), False, x)
 
 
 def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
     """Minimizing gamma for the upper bound over [rho, 1/delta].
 
-    The interior optimum solves lambda^max (gamma-rho)^2 = gamma^3.
-    psi_max(1 + gamma, gamma) > 0 and dF/dlambda = (delta/2)((1+gamma)/lambda
-    - 1) < 0 past the foot.  Below delta = 2**-52 it raises DomainError
-    rather than return U ~ 1/delta.
+    The interior optimum solves lambda^max (gamma - rho)^2 = gamma^3, the
+    gap's root; the search starts at (3 ln rho - ln(1 + rho) - |y(rho)|) / 2.
+    psi_max(1 + gamma, gamma) > 0 and dF/dlambda < 0 past the foot.  Below
+    delta = 2**-52 it raises DomainError rather than return U ~ 1/delta.
     """
     _validate_point(delta, rho)
     if delta < 2.0**-52:
@@ -323,11 +331,11 @@ def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
 
 
 def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
-    """Minimizing gamma for the lower bound over [rho, 1).
+    """Minimizing gamma for the lower bound over [rho, 1 - 1e-9].
 
-    The interior optimum solves gamma^3 lambda^min = (1-gamma)^2 (gamma-rho)^2.
-    psi_min = H(gamma)/2 at the foot and dF/d ln lambda = (delta/2)(1 - gamma
-    - lambda) > 0 below it.  The open right end is approached through a guard.
+    The interior optimum solves gamma^3 lambda^min = (1-gamma)^2 (gamma-rho)^2,
+    the gap's root; the search starts at (3 ln rho - ln(1 - rho) - |y(rho)|) / 2.
+    psi_min = H(gamma)/2 at the foot and dF/d ln lambda > 0 below it.
     """
     _validate_point(delta, rho)
     g_cap = 1.0 - 1e-9

@@ -33,6 +33,8 @@ def _validate_point(delta: float, rho: float) -> None:
         raise DomainError(f"delta must be in (0,1), got {delta}")
     if not (0.0 < rho < 1.0):
         raise DomainError(f"rho must be in (0,1), got {rho}")
+    if rho * delta < 2.0**-1022:
+        raise DomainError(f"rho*delta={rho * delta!r} is below the smallest normal double")
 
 
 @dataclass(frozen=True)

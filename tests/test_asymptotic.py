@@ -341,16 +341,61 @@ class TestGammaOptimizers:
                     continue
                 assert math.isfinite(b.U) and math.isfinite(b.L)
 
+    @pytest.mark.parametrize("d, r", [(2.0**-52, 1e-311), (1e-6, 1e-323)])
+    def test_underflowing_rho_delta_raises(self, d, r):
+        # rho * delta rounds to 0.0 here, so H(rho delta) reads 0 and BT once
+        # returned U = 3.1e-311 with a stationarity residual of 714.
+        for family in ("BT", "BCT", "CT"):
+            with pytest.raises(DomainError, match="smallest normal double"):
+                compute_bounds(family, d, r)
+
+    @given(
+        st.floats(min_value=1e-3, max_value=0.999),
+        st.floats(min_value=-300.0, max_value=math.log10(0.999)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_interior_optima_are_stationary_and_optimal(self, d, log10_r):
+        r = 10.0**log10_r
+        b = bt_bounds(d, r)
+        sides = (("upper", b.gamma_min, b.boundary_upper, solve_lambda_max, 1.0, 1.0 / d),
+                 ("lower", b.gamma_max, b.boundary_lower, solve_lambda_min, -1.0, 1.0))
+        for side, g, at_edge, solve, sign, top in sides:
+            if at_edge:
+                continue
+            assert abs(stationarity_residual(b, side)) <= 1e-12
+            # sign * ln lambda is smallest at the optimum: lambda^max is
+            # minimized, lambda^min maximized.
+            best = sign * solve(d, r, g)
+            for t in (1.0 - 1e-6, 1.0 + 1e-6):
+                if r <= g * t < top:
+                    assert best <= sign * solve(d, r, g * t)
+
     @pytest.mark.parametrize("d, r", [(0.5, 0.5), (0.05, 0.95), (0.001, 0.001), (0.5, 0.999)])
     def test_bt_takes_few_evaluations(self, d, r, net_calls):
+        # 8 to 18 here: at most seven gap evaluations per search, plus two per lambda solve.
         bt_bounds(d, r)
-        assert net_calls[0] <= 50
+        assert net_calls[0] <= 20
 
     def test_small_rho_gamma_search_takes_few_evaluations(self, net_calls):
-        # The first-order exponent is flat at +0.017, then drops to -1.8e4.
+        # Edge test, start, four Newton steps and the lambda solve's two.
         g = optimize_gamma_for_max(0.5, 0.003)
-        assert net_calls[0] <= 20
+        assert net_calls[0] <= 10
         assert abs(_net_max_raw(math.exp(g.value), 0.5, 0.003, g.gamma)) <= 1e-12
+
+    def test_step_cap_raises(self, monkeypatch):
+        # The search needs four Newton steps here.
+        monkeypatch.setattr(asymptotic, "_ROOT_STEPS", 2)
+        with pytest.raises(SolverError, match="gamma search left"):
+            optimize_gamma_for_max(0.5, 0.003)
+
+    @pytest.mark.parametrize("d", [0.001, 0.5, 0.999])
+    def test_lower_search_stops_where_gamma_rounds_onto_rho(self, d, net_calls):
+        # The root sits at u = -8e4 to -8e7, where gamma rounds onto rho and
+        # one ulp of u exceeds 1e-12, so a stop on an absolute width alone
+        # never ends; the start is exact there.
+        g = optimize_gamma_for_min(d, 1.0 - 1e-7)
+        assert net_calls[0] <= 6
+        assert g.gamma == 1.0 - 1e-7 and math.ulp(g.log_offset) > 1e-12
 
     @pytest.mark.parametrize("d, r", [(0.1, 0.5), (0.8, 0.8)])
     def test_each_optimizer_solves_lambda_once(self, d, r, monkeypatch):
@@ -469,9 +514,9 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls):
-        # Two evaluations per lambda solve give about 400 (BT) and 60 (BCT);
+        # About 160 (BT) and 60 (BCT), with two evaluations per lambda solve;
         # the looser ceilings above are part of those tests' ids.
-        for family, ceiling in (("BT", 450), ("BCT", 80)):
+        for family, ceiling in (("BT", 200), ("BCT", 80)):
             net_calls[0] = 0
             l1_phase_transition(d, family)
             assert net_calls[0] <= ceiling

@@ -103,6 +103,11 @@ class TestBounds:
         assert code == 2
         assert "2**-52" in err
 
+    def test_underflowing_rho_delta_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "bounds", "1e-6", "1e-323")
+        assert code == 2
+        assert "smallest normal double" in err
+
     def test_json_envelope_validates(self, capsys):
         _, out, _ = run_cli(capsys, "--format", "json", "bounds", "0.3", "0.2")
         jsonschema.validate(json.loads(out), load_schema())
