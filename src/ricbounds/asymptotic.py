@@ -46,7 +46,7 @@ RESIDUAL_TOL = 1e-12
 # Step in u = ln(gamma - rho), at most as much relative in gamma, that ends a BT search.
 GAMMA_TOL = 1e-12
 
-# Step cap of the root loops: _root and the BT gamma search.
+# Step cap of the root loops: the BT gamma search and the phase search.
 _ROOT_STEPS = 200
 
 
@@ -100,64 +100,6 @@ class GammaOptimum:
     log_offset: float
 
 
-def _root(f, a, b, tol, limit, fa):
-    """Bracket and narrow a sign change of f, starting from fa = f(a) > 0.
-
-    b is the first probe on the far side of a.  While f(b) > 0 the bracket
-    moves on, doubling its step each time and stopping at limit; no sign
-    change there raises SolverError.  Chandrupatla's method (Adv. Eng.
-    Software 28, 1997) then narrows the bracket [x1, x2], x1 the newest
-    point and x3 the end it displaced: an inverse-quadratic step through the
-    three where their shape passes Chandrupatla's test, else the midpoint.
-    Every step lands at least max(tol/2, 2 ulp) inside the bracket, and a
-    newest f = 0 steps exactly that far toward the other end, as a root at
-    x1 is not yet a bracket (if f(x3) = 0 too, f is flat at zero there and
-    the step bisects).  A step that rounds onto an end takes the midpoint,
-    and the search stops when |b - a| <= tol or the midpoint rounds onto an
-    end (adjacent doubles).  Returns (a, b) with f(a) > 0 >= f(b); b may lie
-    on either side of a.
-    """
-    if not fa > 0.0:
-        raise SolverError(f"root search needs f > 0 at its start {a!r}, got {fa!r}")
-    fb = f(b)
-    c, fc = a, fa
-    while fb > 0.0:
-        if b == limit:
-            raise SolverError(f"no sign change between {a!r} and the limit {limit!r}")
-        c, fc, a, fa, b = a, fa, b, fb, b + 2.0 * (b - a)
-        b = min(b, limit) if limit > a else max(b, limit)
-        fb = f(b)
-    # With no expansion x3 = x1, which fails the test: the first step bisects.
-    x1, f1, x2, f2, x3, f3 = a, fa, b, fb, c, fc
-    for _ in range(_ROOT_STEPS):
-        dx = x2 - x1
-        if abs(dx) <= tol:
-            break
-        t_min = max(0.5 * tol, 2.0 * math.ulp(x1)) / abs(dx)
-        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-        if f1 == 0.0 and f3 != 0.0:
-            t = 0.0  # raised to t_min below
-        elif phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
-            t = (f1 / (f1 - f2) * f3 / (f3 - f2)
-                 - (x3 - x1) / dx * f1 / (f3 - f1) * f2 / (f2 - f3))
-        else:
-            t = 0.5
-        x = x1 + (min(max(t, t_min), 1.0 - t_min) if t_min < 0.5 else 0.5) * dx
-        if x == x1 or x == x2:
-            x = 0.5 * (x1 + x2)
-            if x == x1 or x == x2:
-                break
-        fx = f(x)
-        if (fx > 0.0) == (f1 > 0.0):
-            x3, f3 = x1, f1
-        else:
-            x3, f3, x2, f2 = x2, f2, x1, f1
-        x1, f1 = x, fx
-    else:
-        raise SolverError(f"root search left [{x1!r}, {x2!r}] wider than {tol:g}")
-    return (x1, x2) if f1 > 0.0 else (x2, x1)
-
-
 _WHERE = "{} {} (delta={}, rho={}, gamma={})"
 
 
@@ -181,7 +123,9 @@ def _lambert_y(eps: float, sign: float) -> float:
     sign side of 0 (W_-1 for sign > 0, else W_0): the branch-point series in
     p = -sign sqrt(2 (1 - e^-eps)) for eps < 1, else ln(2 + eps + ln(1 + eps))
     or -1 - eps, then three Halley steps on h(y) = expm1(y) - y - eps.  For
-    |y| < 1/4 expm1(y) - y is its Taylor sum, so h does not cancel."""
+    |y| < 1/4 expm1(y) - y is its Taylor sum, so h does not cancel; above,
+    h' = expm1(y) is taken as is, as (expm1(y) - y) + y cancels to 0 at y =
+    -1 - eps for eps > 2**53."""
     if eps == 0.0:
         return 0.0
     if eps < 1.0:
@@ -190,8 +134,12 @@ def _lambert_y(eps: float, sign: float) -> float:
     else:
         y = math.log(2.0 + eps + math.log1p(eps)) if sign > 0.0 else -1.0 - eps
     for _ in range(3):
-        d = y * y * _horner(_EXPM1_TAIL, y) if abs(y) < 0.25 else math.expm1(y) - y
-        em = d + y  # expm1(y) = h'
+        if abs(y) < 0.25:
+            d = y * y * _horner(_EXPM1_TAIL, y)
+            em = d + y  # expm1(y) = h'
+        else:
+            em = math.expm1(y)
+            d = em - y
         r = (d - eps) / em
         y -= r / (1.0 - 0.5 * r * (1.0 + em) / em)  # Halley, h'' / h' = (1 + em) / em
     return y
@@ -415,11 +363,17 @@ def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
     """Largest rho where max(L, U) < sqrt(2) - 1 under the given family.
 
-    Root search on the margin (sqrt(2) - 1) - max(L, U) in rho, to 1e-8
-    absolute; the feasible end of the final bracket is returned.  Monotone
-    feasibility in rho is assumed for the search and spot-checked at
-    fractions of the returned value.  Returns 0.0 when even the smallest
-    probed rho fails the condition.
+    Bracketed secant on the margin m(rho) = (sqrt(2) - 1) - max(L, U), which
+    is close to linear in sqrt(rho).  lo is the newest rho with m > 0 (from
+    1e-7) and hi the newest with m <= 0; the first probe is 2e-3.  Each step
+    is the secant root in sqrt(rho) through the two newest points, kept at
+    least 5e-9 inside [lo, hi].  Until hi is found, a step that does not point
+    above lo moves to 3 lo - 2e-7 instead, capped at 1 - 1e-12, where m > 0
+    raises SolverError.  Once bracketed, the search bisects where the secant
+    root leaves (lo, hi) or where the newest step was more than half as long
+    as the one before it (Brent's rule).  It stops when hi - lo <= 1e-8 and
+    returns lo.  Monotone feasibility in rho is assumed and spot-checked at
+    fractions of the returned value.  Returns 0.0 when even m(1e-7) <= 0.
     """
     _validate_point(delta, 0.5)
 
@@ -427,14 +381,37 @@ def l1_phase_transition(delta: float, family: str = "BT") -> float:
         b = compute_bounds(family, delta, rho)
         return L1_THRESHOLD - max(b.L, b.U)
 
-    lo = 1e-7
-    m_lo = margin(lo)
-    if not m_lo > 0.0:
+    start, top, tol = 1e-7, 1.0 - 1e-12, 1e-8
+    m_old = margin(start)
+    if not m_old > 0.0:
         return 0.0
-    rho_star, _ = _root(margin, lo, 2e-3, 1e-8, 1.0 - 1e-12, m_lo)
+    lo, hi, x_old, x = start, math.inf, start, 2e-3
+    w1 = w2 = math.inf  # lengths of the newest step and the one before, inf until bracketed
+    for _ in range(_ROOT_STEPS):
+        m = margin(x)
+        if m > 0.0:
+            if x == top:
+                raise SolverError(f"margin still positive at rho={top!r} (delta={delta})")
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= tol:
+            break
+        s, s_old = math.sqrt(x), math.sqrt(x_old)
+        t = s - m * (s - s_old) / (m - m_old) if m != m_old else math.nan
+        if hi == math.inf:
+            step = t * t if m < m_old else 3.0 * lo - 2.0 * start
+        elif math.sqrt(lo) < t < math.sqrt(hi) and not w1 > 0.5 * w2:
+            step = t * t
+        else:
+            step = 0.5 * (lo + hi)
+        x_old, m_old, x = x, m, min(max(step, lo + 0.5 * tol), hi - 0.5 * tol, top)
+        w2, w1 = w1, abs(x - x_old) if hi < math.inf else math.inf
+    else:
+        raise SolverError(f"phase search left [{lo!r}, {hi!r}] wider than {tol:g} (delta={delta})")
     for frac in (0.25, 0.5, 0.9):
-        if not margin(frac * rho_star) > 0.0:
+        if not margin(frac * lo) > 0.0:
             raise SolverError(
-                f"feasibility not monotone below rho*={rho_star} at delta={delta}"
+                f"feasibility not monotone below rho*={lo} at delta={delta}"
             )
-    return rho_star
+    return lo

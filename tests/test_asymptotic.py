@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import types
 
 import mpmath
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from ricbounds import asymptotic
 from ricbounds.asymptotic import (
+    FAMILIES,
     L1_THRESHOLD,
     _lambert_y,
-    _root,
     bct_bounds,
     bt_bounds,
     compute_bounds,
@@ -120,6 +121,21 @@ class TestLambdaSolvers:
                     y = _lambert_y(eps, sign)
                     assert abs((y - ref) / ref) < 1e-15, (eps, sign, y)
 
+    @pytest.mark.parametrize("eps", [2.0**53, 1e20, 1e300])
+    def test_lower_root_far_below_the_foot(self, eps):
+        # y = -1 - eps in double here; expm1(y) formed as (expm1(y) - y) + y
+        # cancelled to 0 and the Halley step divided by it.
+        assert _lambert_y(eps, -1.0) == -1.0 - eps
+
+    def test_lambda_roots_take_few_evaluations(self, net_calls):
+        # One at the foot, in closed form, and one for the residual: y itself
+        # comes without a search.
+        for d, r, g in [(0.5, 0.5, 0.7), (0.05, 0.95, 0.96), (0.5, 1e-20, 1e-20)]:
+            for solve in (solve_lambda_max, solve_lambda_min):
+                net_calls[0] = 0
+                solve(d, r, g)
+                assert net_calls[0] == 2
+
     @pytest.mark.parametrize("rho", [1e-40, 1e-150, 1e-300])
     @pytest.mark.parametrize("delta", [0.01, 0.5, 0.99])
     def test_tiny_rho_matches_leading_order(self, delta, rho):
@@ -140,98 +156,6 @@ class TestLambdaSolvers:
             solve_lambda_max(0.5, 0.5, 0.4)
         with pytest.raises(DomainError):
             solve_lambda_min(0.5, 0.5, 1.0)
-
-
-class TestRoot:
-    @staticmethod
-    def root(f, a, b, tol, limit):
-        return _root(f, a, b, tol, limit, f(a))
-
-    def test_increasing_and_decreasing_roots(self):
-        a, b = self.root(lambda x: 2.0 - x, 0.0, 1.0, 1e-12, 100.0)
-        assert a < 2.0 <= b and b - a <= 1e-12
-        a, b = self.root(lambda x: x * x - 2.25, 3.0, 2.5, 1e-12, 0.0)
-        assert b <= 1.5 < a and a - b <= 1e-12
-
-    def test_expansion_to_the_right_and_left(self):
-        a, b = self.root(lambda x: 1e3 - x, 1.0, 2.0, 1e-9, 1e9)
-        assert a < 1e3 <= b
-        a, b = self.root(lambda x: x + 1e3, 0.0, -1.0, 1e-9, -1e9)
-        assert b <= -1e3 < a
-
-    def test_bracket_contract(self):
-        f = lambda x: math.exp(-x) - 0.25
-        for tol in (1e-3, 1e-8, 1e-13):
-            a, b = self.root(f, 0.0, 1.0, tol, 50.0)
-            assert f(a) > 0.0 >= f(b)
-            assert abs(b - a) <= tol
-
-    def test_limit_without_sign_change_raises(self):
-        with pytest.raises(SolverError, match="no sign change"):
-            self.root(lambda x: 1.0, 0.0, 1.0, 1e-12, 10.0)
-        with pytest.raises(SolverError, match="no sign change"):
-            self.root(lambda x: 1.0 + x, 0.0, -0.5, 1e-12, -0.9)
-
-    def test_start_must_be_positive(self):
-        with pytest.raises(SolverError, match="needs f > 0"):
-            self.root(lambda x: -1.0 - x, 0.0, 1.0, 1e-12, 10.0)
-
-    def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(asymptotic, "_ROOT_STEPS", 3)
-        with pytest.raises(SolverError, match="wider than"):
-            self.root(math.cos, 0.0, 3.0, 1e-14, 10.0)
-
-    def test_lambda_roots_take_few_evaluations(self, net_calls):
-        # One at the foot, in closed form, and one for the residual: y itself
-        # comes without a search.
-        for d, r, g in [(0.5, 0.5, 0.7), (0.05, 0.95, 0.96), (0.5, 1e-20, 1e-20)]:
-            for solve in (solve_lambda_max, solve_lambda_min):
-                net_calls[0] = 0
-                solve(d, r, g)
-                assert net_calls[0] == 2
-
-    def test_exact_zero_with_tolerance_below_one_ulp(self):
-        # f hits 0 exactly at 2 and tol is far below the spacing of doubles
-        # there: the search has to stop at adjacent doubles, not creep.
-        xs = []
-
-        def f(x):
-            xs.append(x)
-            return 2.0 - x
-
-        a, b = _root(f, 0.0, 1.0, 1e-300, 100.0, 2.0)
-        assert len(xs) <= 10
-        assert f(a) > 0.0 >= f(b)
-        assert math.nextafter(a, b) == b and a < 2.0 <= b
-
-    SHAPES = {
-        "linear": lambda y: y,
-        "cubic": lambda y: y**3,
-        "cbrt": lambda y: math.copysign(abs(y) ** (1 / 3), y),
-        "tanh": math.tanh,
-        # Flat, then a cliff: the shape of the BT gamma search at small rho.
-        "cliff": lambda y: min(0.017, 1e4 * y),
-        "zero_run": lambda y: max(y, 0.0),
-    }
-
-    @given(
-        st.floats(min_value=1e-2, max_value=1e3).flatmap(lambda m: st.sampled_from([m, -m])),
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.sampled_from(sorted(SHAPES)),
-        st.sampled_from([1.0, -1.0]),
-        st.integers(min_value=3, max_value=300),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_contract_on_monotone_functions(self, r, dist, step, shape, s, e):
-        # f > 0 on the side of r that a starts on; tol 10^-e goes from 1e-3
-        # to far below one ulp of r.
-        g = self.SHAPES[shape]
-        f = lambda x: g(s * (r - x))
-        tol, a0 = 10.0**-e, r - s * dist
-        a, b = self.root(f, a0, a0 + s * step, tol, r + s * 1e6)
-        assert f(a) > 0.0 >= f(b)
-        assert abs(b - a) <= tol or math.nextafter(a, b) == b
 
 
 class TestGammaOptimizers:
@@ -479,6 +403,13 @@ class TestFamilies:
         bct_bounds(0.5, 0.5)
         assert calls == {"max": 2, "min": 1}
 
+    @pytest.mark.parametrize("bounds", [bt_bounds, bct_bounds])
+    def test_rho_next_to_one_solves(self, bounds):
+        # lambda^min's offset reaches -1 - 2**53 at gamma = rho here.
+        b = bounds(0.2185, 0.9999999999999996)
+        assert b.L == 1.0
+        assert math.isfinite(b.U) and math.isfinite(b.log_lambda_min)
+
     def test_dispatch(self):
         assert compute_bounds("CT", 0.5, 0.5).family == "CT"
         with pytest.raises(DomainError):
@@ -514,9 +445,88 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls):
-        # About 160 (BT) and 60 (BCT), with two evaluations per lambda solve;
-        # the looser ceilings above are part of those tests' ids.
-        for family, ceiling in (("BT", 200), ("BCT", 80)):
+        # 126 to 142 (BT) and 48 to 54 (BCT), with two evaluations per lambda
+        # solve; the looser ceilings above are part of those tests' ids.
+        for family, ceiling in (("BT", 150), ("BCT", 56)):
             net_calls[0] = 0
             l1_phase_transition(d, family)
             assert net_calls[0] <= ceiling
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
+    def test_phase_point_takes_few_bound_calls(self, d, family, monkeypatch):
+        # At most six margins for the search, from rho = 1e-7 on, and three
+        # spot checks; the search ends on a bracket no wider than 1e-8.
+        seen = []
+
+        def counted(fam, delta, rho):
+            b = compute_bounds(fam, delta, rho)
+            seen.append((rho, L1_THRESHOLD - max(b.L, b.U)))
+            return b
+
+        monkeypatch.setattr(asymptotic, "compute_bounds", counted)
+        rho_star = l1_phase_transition(d, family)
+        assert len(seen) <= 9
+        assert dict(seen)[rho_star] > 0.0
+        assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
+
+
+class TestPhaseSearch:
+    """The phase search on synthetic margins m(rho) = shape(r - rho)."""
+
+    SHAPES = {
+        "linear": lambda y: y,
+        "cubic": lambda y: y**3,
+        "cbrt": lambda y: math.copysign(abs(y) ** (1 / 3), y),
+        "tanh": math.tanh,
+        # Flat, then a cliff.
+        "cliff": lambda y: min(0.017, 1e4 * y),
+        "zero_run": lambda y: max(y, 0.0),
+        "step": lambda y: 0.1 if y > 0.0 else -0.1,
+        # Slopes 1 and 50 on the two sides of the root, both ways round.
+        "kink": lambda y: y if y > 0.0 else 50.0 * y,
+        "kink_inv": lambda y: 50.0 * y if y > 0.0 else y,
+    }
+
+    @staticmethod
+    def search(margin):
+        """rho* from l1_phase_transition on margin(rho), and every (rho,
+        margin) pair it evaluated, spot checks included."""
+        seen = []
+
+        def fake(family, delta, rho):
+            m = margin(rho)
+            seen.append((rho, m))
+            return types.SimpleNamespace(L=-m, U=-m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(asymptotic, "L1_THRESHOLD", 0.0)
+            mp.setattr(asymptotic, "compute_bounds", fake)
+            return l1_phase_transition(0.5), seen
+
+    @given(st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)), st.sampled_from(sorted(SHAPES)))
+    @settings(max_examples=300, deadline=None)
+    def test_contract_on_monotone_margins(self, log_r, shape):
+        # Over 10^4 seeded roots per shape the most was 56 (cubic).
+        g, r = self.SHAPES[shape], math.exp(log_r)
+        rho_star, seen = self.search(lambda rho: g(r - rho))
+        assert dict(seen)[rho_star] > 0.0
+        assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
+        assert len(seen) <= 70
+
+    def test_infeasible_start_returns_zero(self):
+        assert self.search(lambda rho: -1.0) == (0.0, [(1e-7, -1.0)])
+
+    def test_positive_margin_at_the_cap_raises(self):
+        with pytest.raises(SolverError, match=r"margin still positive at rho=0\.999999999999"):
+            self.search(lambda rho: 1.0)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(asymptotic, "_ROOT_STEPS", 2)
+        with pytest.raises(SolverError, match="phase search left"):
+            self.search(lambda rho: 0.3 - rho)
+
+    def test_non_monotone_margin_raises(self):
+        # Infeasible in a dip below rho*, which the search itself never probes.
+        with pytest.raises(SolverError, match="not monotone"):
+            self.search(lambda rho: -1.0 if 0.1 < rho < 0.2 else 0.5 - rho)

@@ -108,6 +108,14 @@ class TestBounds:
         assert code == 2
         assert "smallest normal double" in err
 
+    @pytest.mark.parametrize("family", ["BT", "BCT"])
+    def test_rho_next_to_one_exit_code(self, capsys, family):
+        # lambda^min's offset reaches -1 - 2**53 here; the point solves.
+        argv = ("--format", "json", "bounds", "0.2185", "0.9999999999999996", "--family", family)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["results"]["L"] == 1.0
+
     def test_json_envelope_validates(self, capsys):
         _, out, _ = run_cli(capsys, "--format", "json", "bounds", "0.3", "0.2")
         jsonschema.validate(json.loads(out), load_schema())
