@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -35,6 +35,8 @@ CANDIDATE_POOL = 32
 IMPROVE_TOL = 1e-9
 # Rounding margin of the swap filter, relative to the trace of a trial block.
 _MARGIN = 1e-10
+# Bytes of stacked Gram blocks that one eigvalsh call may take.
+_STACK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,19 @@ class MatrixSample:
 
     The variance convention makes the expected squared column norm 1.
     Entries are reproducible: the seed feeds numpy's SeedSequence, so the
-    same seed yields a bit-identical matrix.
+    same seed yields a bit-identical matrix.  Entries must form an n x N
+    array whose squared norm, a bound on every Gram block, is finite.
     """
 
     n: int
     N: int
     seed: int
     entries: np.ndarray
+
+    def __post_init__(self):
+        with np.errstate(over="ignore"):
+            if np.shape(self.entries) != (self.n, self.N) or not np.isfinite(np.vdot(self.entries, self.entries)):
+                raise DomainError(f"entries must be a finite ({self.n}, {self.N}) array")
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -102,8 +110,8 @@ def gram_extreme_eigs(columns: np.ndarray) -> tuple[float, float]:
     roundoff is clamped.
     """
     columns = np.asarray(columns, dtype=float)
-    if columns.ndim != 2:
-        raise DomainError("columns must be a 2-d array")
+    if columns.ndim != 2 or columns.shape[1] == 0 or not np.isfinite(columns).all():
+        raise DomainError("columns must be a finite 2-d array with at least one column")
     eigs = np.linalg.eigvalsh(columns.T @ columns)
     return max(float(eigs[0]), 0.0), float(eigs[-1])
 
@@ -113,9 +121,9 @@ def exhaustive_ric(
 ) -> tuple[float, float, tuple[int, ...], tuple[int, ...]]:
     """Exact (L, U) by enumerating every k-column support.
 
-    Returns (L, U, argmax_support, argmin_support) where argmax attains
-    lambda^max and argmin attains lambda^min.  Enumeration is lexicographic
-    over column indices.  Guarded: refuses when C(N, k) exceeds 1e6.
+    Returns (L, U, argmax_support, argmin_support): the first supports in
+    lexicographic order to attain lambda^max and lambda^min, solved in
+    chunks by `_first_extremes`.  Guarded: refuses when C(N, k) exceeds 1e6.
     """
     if not 0 < k <= sample.N:
         raise DomainError(f"k must be in [1, N], got {k}")
@@ -125,27 +133,46 @@ def exhaustive_ric(
             f"C({sample.N}, {k}) = {count} supports exceeds the "
             f"exhaustive guard of {EXHAUSTIVE_GUARD}"
         )
-    gram_full = sample.gram
-    best_hi = -math.inf
-    best_lo = math.inf
-    arg_hi: tuple[int, ...] = ()
-    arg_lo: tuple[int, ...] = ()
-    for support in combinations(range(sample.N), k):
-        idx = np.array(support)
-        eigs = np.linalg.eigvalsh(gram_full[np.ix_(idx, idx)])
-        if eigs[-1] > best_hi:
-            best_hi, arg_hi = float(eigs[-1]), support
-        if eigs[0] < best_lo:
-            best_lo, arg_lo = float(eigs[0]), support
-    return 1.0 - best_lo, best_hi - 1.0, arg_hi, arg_lo
+    (lo, arg_lo), (hi, arg_hi) = _first_extremes(sample.gram, combinations(range(sample.N), k), k)
+    return 1.0 - lo, hi - 1.0, tuple(map(int, arg_hi)), tuple(map(int, arg_lo))
+
+
+def _first_extremes(gram_full: np.ndarray, supports, k: int):
+    """((lo, arg_lo), (hi, arg_hi)): least lambda_min and greatest lambda_max
+    over the Gram blocks of the k-supports (array rows or any iterable), each
+    with the first support attaining it.  One eigvalsh call takes at most
+    _STACK_BYTES of blocks and solves each on its own: chunks change no value.
+    """
+    per = max(1, _STACK_BYTES // (8 * k * k))
+    if isinstance(supports, np.ndarray):
+        chunks = (supports[i : i + per] for i in range(0, len(supports), per))
+    else:
+        supports = iter(supports)
+        chunks = map(np.array, iter(lambda: list(islice(supports, per)), []))
+    lo, hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
+    for chunk in chunks:
+        eigs = np.linalg.eigvalsh(gram_full[chunk[:, :, None], chunk[:, None, :]])
+        i, j = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
+        if eigs[i, 0] < lo:
+            lo, arg_lo = float(eigs[i, 0]), chunk[i]
+        if eigs[j, -1] > hi:
+            hi, arg_hi = float(eigs[j, -1]), chunk[j]
+    return (lo, arg_lo), (hi, arg_hi)
 
 
 def _objective(gram_full: np.ndarray, support: np.ndarray, mode: str):
     """Extreme eigenpair of the support's Gram block for the given mode."""
-    block = gram_full[np.ix_(support, support)]
-    vals, vecs = np.linalg.eigh(block)
+    vals, vecs = np.linalg.eigh(gram_full[support[:, None], support])
     i = -1 if mode == "upper" else 0
     return float(vals[i]), vecs[:, i]
+
+
+@cache
+def _leave_one_out(k: int) -> np.ndarray:
+    """Row p lists the positions 0..k-1 other than p; read-only, as it is shared."""
+    rest = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
+    rest.flags.writeable = False
+    return rest
 
 
 def _contending_swaps(
@@ -177,14 +204,15 @@ def _contending_swaps(
     LAPACK's arrow matrix lies within a few k*eps*|T| of T, so its root
     moves by no more than that (Weyl); with slope >= 1, a trial whose
     LAPACK value reaches x + m has f(x) <= -(m - that), far outside the
-    error of evaluating f.  Every kept trial reaches target - 3m.  For
-    k <= 2 every trial is returned.
+    error of evaluating f.  Every kept trial reaches target - 3m.  Where
+    C*k*k <= 128 (C candidates; every k <= 2 at C <= 32) all trials are
+    returned: solving that few small blocks costs less than the filter.
     """
     k = len(support)
-    if k <= 2:
+    if len(candidates) * k * k <= 128:
         return np.arange(len(candidates) * k)
     # rest[p] is the support without position p.
-    rest = np.broadcast_to(support, (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    rest = support[_leave_one_out(k)]
     mu, vecs = np.linalg.eigh(gram_full[rest[:, :, None], rest[:, None, :]])
     # z[c, p] = V_p' G[S-p, c], over the eigenvalues in ascending order.
     z = np.matmul(vecs.transpose(0, 2, 1), gram_full[rest[:, :, None], candidates])
@@ -214,26 +242,27 @@ def local_search(
 
     Per restart, starting from a uniform random support: score every
     out-column by |correlation with the image of the current extreme
-    eigenvector|, evaluate the best 32 exactly against every possible
-    leaving column, take the steepest improving swap, and stop when no
-    swap improves the objective by more than 1e-9.  The best support over
-    all restarts is returned; since every support certifies a lower bound
-    on the RIC, more restarts never hurt.
+    eigenvector| (one product A'(A_S v)), take the best 32 by a partition
+    (an exact tie goes to the lower column), evaluate them exactly against
+    every possible leaving column, take the steepest improving swap, and
+    stop when no swap improves the objective by more than 1e-9.  The best
+    support over all restarts is returned; since every support certifies a
+    lower bound on the RIC, more restarts never hurt.
 
-    Each sweep first drops, with `_contending_swaps`, every one of the
-    C*k trials (C = min(32, N - k)) that can be neither the steepest swap
-    nor an improving one: one eigh of the k blocks that leave one support
-    column out, then one secular-equation sign test per trial.  The
-    others go to one stacked eigvalsh call, in candidate-major,
-    position-minor order; ties go to the first maximum in that order.  If
-    none is left the sweep stops.  The test is exact up to a margin far
-    above roundoff, so every trial that attains the maximum is kept, and
-    eigvalsh solves each matrix of a stack on its own: supports, values
-    and swap counts are bit-identical to solving every trial.  On
-    Gaussian matrices at n = 100 and k = 5-20, about 0.4-1.2% of trials
-    are solved in the upper mode and 0.8-3.5% in the lower mode.  The
-    first sweep from a random start keeps the most: at n = 100, k = 64
-    in the lower mode, about half of its 2048 trials.
+    Each sweep first drops, with `_contending_swaps`, every one of the C*k
+    trials (C = min(32, N - k)) that can be neither the steepest swap nor
+    an improving one: one eigh of the k blocks that leave one support
+    column out, then one secular-equation sign test per trial.  The others
+    go to `_first_extremes` in candidate-major, position-minor order, in
+    eigvalsh chunks of at most _STACK_BYTES; ties go to the first maximum
+    in that order.  If none is left the sweep stops.  The test is exact up
+    to a margin far above roundoff, so every trial that attains the maximum
+    is kept, and eigvalsh solves each matrix of a stack on its own:
+    supports, values and swap counts are bit-identical to solving every
+    trial.  On Gaussian matrices at n = 100 and k = 5-20, about 0.4-1.2% of
+    trials are solved in the upper mode and 0.8-3.5% in the lower mode.
+    The first sweep from a random start keeps the most: at n = 100, k = 64
+    in the lower mode, about half of its 2048 trials, 128 to a chunk.
 
     Restart RNG streams are spawned from one SeedSequence, so results are
     reproducible and independent of evaluation order.
@@ -249,6 +278,7 @@ def local_search(
     gram_full = sample.gram
     A = sample.entries
     N = sample.N
+    pool = min(CANDIDATE_POOL, N - k)
 
     best_val = math.nan
     best_signed = -math.inf
@@ -260,13 +290,10 @@ def local_search(
         support = np.sort(rng.choice(N, size=k, replace=False))
         val, vec = _objective(gram_full, support, mode)
         while True:
-            in_set = np.zeros(N, dtype=bool)
-            in_set[support] = True
-            out_cols = np.flatnonzero(~in_set)
-            image = A[:, support] @ vec
-            scores = np.abs(A[:, out_cols].T @ image)
-            order = np.argsort(scores)[::-1][:CANDIDATE_POOL]
-            candidates = out_cols[order]
+            scores = np.abs(A.T @ (A[:, support] @ vec))
+            scores[support] = -1.0
+            top = np.flatnonzero(scores >= np.partition(scores, N - pool)[N - pool])
+            candidates = top[np.argsort(-scores[top], kind="stable")[:pool]]
 
             alive = _contending_swaps(
                 gram_full, support, candidates, sign, sign * val + IMPROVE_TOL
@@ -274,14 +301,12 @@ def local_search(
             if alive.size == 0:
                 break
             # Flat index c*k + pos is the support with candidates[c] at pos.
-            trials = np.tile(support, (alive.size, 1))
+            trials = np.repeat(support[None, :], alive.size, axis=0)
             trials[np.arange(alive.size), alive % k] = candidates[alive // k]
-            blocks = gram_full[trials[:, :, None], trials[:, None, :]]
-            t_vals = np.linalg.eigvalsh(blocks)[:, -1 if mode == "upper" else 0]
-            best = int(np.argmax(sign * t_vals))
-            if sign * (t_vals[best] - val) <= IMPROVE_TOL:
+            t_val, t_support = _first_extremes(gram_full, trials, k)[mode == "upper"]
+            if sign * (t_val - val) <= IMPROVE_TOL:
                 break
-            support = np.sort(trials[best])
+            support = np.sort(t_support)
             # Re-diagonalize after the sort: eigenvector entries must align
             # with the sorted support order.
             val, vec = _objective(gram_full, support, mode)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricbounds import empirical
 from ricbounds.empirical import (
     CANDIDATE_POOL,
     IMPROVE_TOL,
@@ -44,6 +45,31 @@ class TestSampling:
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_gaussian(0, 5, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["one", "all"])
+    def test_non_finite_entries_refused(self, bad, where):
+        # On a NaN no swap comparison holds, so a search would never stop:
+        # the sample is refused before any search can start.
+        entries = sample_gaussian(4, 6, 0).entries.copy()
+        if where == "one":
+            entries[2, 3] = bad
+        else:
+            entries[:] = bad
+        with pytest.raises(DomainError, match="finite"):
+            MatrixSample(4, 6, 0, entries)
+
+    def test_entries_whose_gram_overflows_refused(self):
+        # Finite entries, but their Gram blocks would hold inf and NaN.
+        entries = sample_gaussian(4, 6, 0).entries * 1e200
+        with pytest.raises(DomainError, match="finite"):
+            MatrixSample(4, 6, 0, entries)
+        assert MatrixSample(4, 6, 0, entries * 1e-50).n == 4
+
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 6), (24,)])
+    def test_entries_shape_refused(self, shape):
+        with pytest.raises(DomainError, match="finite"):
+            MatrixSample(4, 6, 0, np.zeros(shape))
 
     def test_gram_formed_lazily_once_per_sample(self):
         s = sample_gaussian(8, 12, 3)
@@ -104,6 +130,13 @@ class TestGramExtremeEigs:
         lo, _ = gram_extreme_eigs(cols)
         assert lo == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "cols", [np.zeros((4, 0)), np.full((4, 2), np.nan), np.array([[1.0, np.inf], [0.0, 1.0]])]
+    )
+    def test_empty_or_non_finite_columns_refused(self, cols):
+        with pytest.raises(DomainError):
+            gram_extreme_eigs(cols)
+
 
 class TestExhaustive:
     def test_k_one_matches_column_norms(self):
@@ -150,6 +183,81 @@ class TestExhaustive:
         s = sample_gaussian(10, 60, 0)
         with pytest.raises(GuardError):
             exhaustive_ric(s, 10)
+
+
+def _per_support_exhaustive(sample, k):
+    """Exhaustive enumeration with one eigvalsh call per support: the loop
+    that the chunked enumeration replaced, kept as an oracle."""
+    best_hi, best_lo, arg_hi, arg_lo = -math.inf, math.inf, (), ()
+    for support in combinations(range(sample.N), k):
+        idx = np.array(support)
+        eigs = np.linalg.eigvalsh(sample.gram[np.ix_(idx, idx)])
+        if eigs[-1] > best_hi:
+            best_hi, arg_hi = float(eigs[-1]), support
+        if eigs[0] < best_lo:
+            best_lo, arg_lo = float(eigs[0]), support
+    return 1.0 - best_lo, best_hi - 1.0, arg_hi, arg_lo
+
+
+def _tie_sample(n, N, seed):
+    """Columns 3 and 7 are one column, correlated with the long column 0,
+    so {0, 3} and {0, 7} tie exactly for the greatest lambda_max at k = 2."""
+    entries = sample_gaussian(n, N, seed).entries.copy()
+    entries[:, 0] *= 3.0
+    entries[:, 7] = entries[:, 3] = entries[:, 0] / 3.0 + entries[:, 3]
+    return MatrixSample(n, N, seed, entries)
+
+
+class TestChunkedEigensolve:
+    @pytest.mark.parametrize("per", [1, 3, 64, None])
+    @pytest.mark.parametrize("n,N,k", [(6, 10, 1), (6, 10, 2), (8, 12, 3), (12, 16, 4), (5, 9, 9)])
+    def test_exhaustive_matches_per_support_oracle(self, monkeypatch, per, n, N, k):
+        if per is not None:
+            monkeypatch.setattr(empirical, "_STACK_BYTES", per * 8 * k * k)
+        sample = sample_gaussian(n, N, 7)
+        assert exhaustive_ric(sample, k) == _per_support_exhaustive(sample, k)
+
+    @pytest.mark.parametrize("per", [1, 4])
+    def test_exhaustive_tie_across_chunks_goes_to_first_support(self, monkeypatch, per):
+        sample = _tie_sample(8, 12, 5)
+        tied = [np.linalg.eigvalsh(sample.gram[np.ix_(s, s)])[-1] for s in ([0, 3], [0, 7])]
+        assert tied[0] == tied[1]
+        # (0, 3) and (0, 7) are the 3rd and 7th supports in lexicographic order.
+        monkeypatch.setattr(empirical, "_STACK_BYTES", per * 8 * 2 * 2)
+        result = exhaustive_ric(sample, 2)
+        assert result[2] == (0, 3)
+        assert result == _per_support_exhaustive(sample, 2)
+
+    @pytest.mark.parametrize(
+        "sample,k,mode",
+        [
+            (sample_gaussian(40, 120, 1), 5, "upper"),
+            (sample_gaussian(40, 120, 1), 5, "lower"),
+            (sample_gaussian(100, 200, 2), 10, "lower"),
+            (_tie_sample(8, 12, 5), 2, "upper"),
+            (_tie_sample(20, 40, 0), 3, "lower"),
+        ],
+    )
+    def test_local_search_under_a_tiny_budget_matches_oracle(self, monkeypatch, sample, k, mode):
+        # Three trials to a chunk: the steepest swap is kept across chunks.
+        monkeypatch.setattr(empirical, "_STACK_BYTES", 3 * 8 * k * k)
+        run = local_search(sample, k, mode, restarts=3, seed=1)
+        assert run == _per_swap_search(sample, k, mode, restarts=3, seed=1)
+
+    def test_no_stack_exceeds_the_budget_at_k_64(self, monkeypatch):
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            stacks.append(a.nbytes)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        local_search(sample_gaussian(100, 300, 0), 64, "lower", restarts=1, seed=0)
+        monkeypatch.undo()
+        # Far more blocks are solved than one chunk holds.
+        assert sum(stacks) > empirical._STACK_BYTES
+        assert max(stacks) <= empirical._STACK_BYTES
 
 
 class TestLocalSearch:
@@ -202,8 +310,9 @@ class TestLocalSearch:
 
 
 def _per_swap_search(sample, k, mode, restarts, seed):
-    """Local search with one eigh call per trial swap: the loop that the
-    stacked sweep replaced, kept as an oracle."""
+    """Local search with one eigvalsh call per trial swap: the loop that the
+    stacked sweep replaced, kept as an oracle.  Trials are solved by the
+    sweep's own driver; eigh rounds differently on rank-deficient blocks."""
     sign = 1.0 if mode == "upper" else -1.0
     i = -1 if mode == "upper" else 0
     A = sample.entries
@@ -224,13 +333,14 @@ def _per_swap_search(sample, k, mode, restarts, seed):
             in_set[support] = True
             out_cols = np.flatnonzero(~in_set)
             scores = np.abs(A[:, out_cols].T @ (A[:, support] @ vec))
-            candidates = out_cols[np.argsort(scores)[::-1][:CANDIDATE_POOL]]
+            # Descending score; an exact tie goes to the lower column.
+            candidates = out_cols[np.argsort(-scores, kind="stable")[:CANDIDATE_POOL]]
             step_val, step_support = val, None
             for j in candidates:
                 for pos in range(k):
                     trial = support.copy()
                     trial[pos] = j
-                    t_val, _ = objective(trial)
+                    t_val = float(np.linalg.eigvalsh(gram_full[np.ix_(trial, trial)])[i])
                     if sign * (t_val - step_val) > 0.0:
                         step_val, step_support = t_val, trial
             if step_support is None or sign * (step_val - val) <= IMPROVE_TOL:
@@ -258,7 +368,16 @@ def _per_swap_search(sample, k, mode, restarts, seed):
 class TestStackedSweep:
     @pytest.mark.parametrize(
         "n,N,k",
-        [(6, 10, 2), (8, 12, 3), (100, 300, 4), (40, 120, 5), (100, 500, 10), (100, 300, 20)],
+        [
+            (6, 10, 2),
+            (8, 12, 3),
+            (100, 300, 4),
+            (40, 120, 5),
+            (100, 500, 10),
+            (100, 300, 20),
+            (100, 1000, 5),
+            (100, 1000, 10),
+        ],
     )
     @pytest.mark.parametrize("mode", ["upper", "lower"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -268,12 +387,7 @@ class TestStackedSweep:
         assert run == _per_swap_search(sample, k, mode, restarts=2, seed=seed)
 
     def test_exact_tie_goes_to_first_maximum(self):
-        # Columns 3 and 7 are one column, correlated with the long column 0,
-        # so {0, 3} and {0, 7} tie exactly as the best support.
-        entries = sample_gaussian(8, 12, 5).entries.copy()
-        entries[:, 0] *= 3.0
-        entries[:, 7] = entries[:, 3] = entries[:, 0] / 3.0 + entries[:, 3]
-        sample = MatrixSample(8, 12, 5, entries)
+        sample = _tie_sample(8, 12, 5)
         run = local_search(sample, 2, "upper", restarts=4, seed=0)
         assert len({3, 7} & set(run.best_support)) == 1
         assert run == _per_swap_search(sample, 2, "upper", restarts=4, seed=0)
@@ -283,10 +397,7 @@ class TestStackedSweep:
         # column, so trials placing either at one position tie exactly.  In
         # this search a pruned sweep takes such a tie as its steepest swap,
         # and the last maximum would lead elsewhere.
-        entries = sample_gaussian(20, 40, 0).entries.copy()
-        entries[:, 0] *= 3.0
-        entries[:, 7] = entries[:, 3] = entries[:, 0] / 3.0 + entries[:, 3]
-        sample = MatrixSample(20, 40, 0, entries)
+        sample = _tie_sample(20, 40, 0)
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -367,6 +478,9 @@ class TestContendingSwaps:
         low, high = values.min(), values.max()
         target = low + level * (high - low) + max(level - 1.0, 0.0) * abs(high)
         kept = _contending_swaps(gram, support, candidates, sign, target)
+        if len(candidates) * len(support) ** 2 <= 128:
+            assert np.array_equal(kept, np.arange(len(values)))
+            return
         winners = np.flatnonzero(values >= max(target, high))
         assert np.all(np.isin(winners, kept))
         diag = np.diagonal(gram)
@@ -378,6 +492,13 @@ class TestContendingSwaps:
         gram = sample_gaussian(10, 20, 1).gram
         kept = _contending_swaps(gram, np.arange(k), np.arange(6, 20), -1.0, np.inf)
         assert np.array_equal(kept, np.arange(14 * k))
+
+    @pytest.mark.parametrize("k,C,solved", [(2, 32, 64), (3, 14, 42), (3, 15, 0), (4, 8, 32), (4, 9, 0)])
+    def test_small_trial_stacks_skip_the_filter(self, k, C, solved):
+        # No trial reaches an infinite target, so only a skipped filter keeps any.
+        gram = sample_gaussian(10, 40, 1).gram
+        kept = _contending_swaps(gram, np.arange(k), np.arange(k, k + C), -1.0, np.inf)
+        assert len(kept) == solved
 
 
 class TestSharpness:
