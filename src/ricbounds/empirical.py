@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, islice
 
 import numpy as np
@@ -33,8 +33,8 @@ EXHAUSTIVE_GUARD = 1_000_000
 # Candidate pruning width for the swap neighborhood.
 CANDIDATE_POOL = 32
 IMPROVE_TOL = 1e-9
-# Rounding margin of the swap filter, relative to the trace of a trial block.
-_MARGIN = 1e-10
+# Rounding margin of the swap filter, relative to trial-block norms and test terms.
+_MARGIN = 1e-12
 # Bytes of stacked Gram blocks that one eigvalsh call may take.
 _STACK_BYTES = 1 << 22
 
@@ -140,7 +140,8 @@ def exhaustive_ric(
 def _first_extremes(gram_full: np.ndarray, supports, k: int):
     """((lo, arg_lo), (hi, arg_hi)): least lambda_min and greatest lambda_max
     over the Gram blocks of the k-supports (array rows or any iterable), each
-    with the first support attaining it.  One eigvalsh call takes at most
+    with the first support attaining it; lambda_min is clamped at 0, as Gram
+    blocks are positive semidefinite.  One eigvalsh call takes at most
     _STACK_BYTES of blocks and solves each on its own: chunks change no value.
     """
     per = max(1, _STACK_BYTES // (8 * k * k))
@@ -152,27 +153,13 @@ def _first_extremes(gram_full: np.ndarray, supports, k: int):
     lo, hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
     for chunk in chunks:
         eigs = np.linalg.eigvalsh(gram_full[chunk[:, :, None], chunk[:, None, :]])
-        i, j = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
-        if eigs[i, 0] < lo:
-            lo, arg_lo = float(eigs[i, 0]), chunk[i]
+        low = np.maximum(eigs[:, 0], 0.0)
+        i, j = int(np.argmin(low)), int(np.argmax(eigs[:, -1]))
+        if low[i] < lo:
+            lo, arg_lo = float(low[i]), chunk[i]
         if eigs[j, -1] > hi:
             hi, arg_hi = float(eigs[j, -1]), chunk[j]
     return (lo, arg_lo), (hi, arg_hi)
-
-
-def _objective(gram_full: np.ndarray, support: np.ndarray, mode: str):
-    """Extreme eigenpair of the support's Gram block for the given mode."""
-    vals, vecs = np.linalg.eigh(gram_full[support[:, None], support])
-    i = -1 if mode == "upper" else 0
-    return float(vals[i]), vecs[:, i]
-
-
-@cache
-def _leave_one_out(k: int) -> np.ndarray:
-    """Row p lists the positions 0..k-1 other than p; read-only, as it is shared."""
-    rest = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
-    rest.flags.writeable = False
-    return rest
 
 
 def _contending_swaps(
@@ -181,54 +168,65 @@ def _contending_swaps(
     candidates: np.ndarray,
     sign: float,
     target: float,
+    lam: np.ndarray,
+    Q: np.ndarray,
 ) -> np.ndarray:
     """Flat indices c*k + p of the trials that can still be the steepest swap.
 
     Trial c*k + p puts candidates[c] at position p of the support, and
     s*value (s = sign) is its signed extreme eigenvalue.  A trial is
     dropped only if it cannot reach max(target, every trial's s*value).
+    lam, Q = eigh(G_S) is the decomposition of the support's block G[S, S].
 
-    The trial block is T = [[B, g], [g', d]] up to a permutation, with
-    B = G[S-p, S-p], g = G[S-p, c] and d = G[c, c].  One eigh of the k
-    blocks B = V diag(mu) V' turns T into the arrow matrix
-    [[diag(mu), z], [z', d]] with z = V'g, so s*value is the one root
-    beyond max s*mu of f(x) = x - s*d - sum z_i^2 / (x - s*mu_i) (Golub,
-    SIAM Review 15, 1973).  On that branch f rises with slope >= 1, so
-    s*value >= x exactly when x <= max s*mu or f(x) <= 0.
+    Up to a permutation the trial block is T = [[B, g], [g', d]], with B =
+    G_S less row and column p, g = G[S-p, c] and d = G[c, c].  For x > max
+    s*lam, M = x*I - s*G_S is positive definite, hence so is its principal
+    block M_-p (Cauchy interlacing), and by the Schur complement s*value >= x
+    exactly when f = x - s*d - g'M_-p^-1 g <= 0 (Golub, SIAM Review 15,
+    1973).  The embedded inverse of M_-p, M^-1 - M^-1 e_p e_p'M^-1 / M^-1_pp,
+    sends e_p to 0, so with D = 1/(x - s*lam), W = Q'G[S, C], a = sum D*W^2,
+    R = Q(D*W) and mm = (Q*Q)D: f = x - s*d_c - a_c + R_pc^2 / mm_p.  Where
+    x <= max s*lam, every trial is returned.
 
-    The Ritz value of [[mu1, z1], [z1, d]], with mu1 the extreme mu and z1
-    its component of z, is a Rayleigh quotient of T, so the best trial
-    reaches the best Ritz value.  With m = 1e-10 * (trace G[S, S] + max d),
-    which bounds the norm of every trial block (Gram blocks are positive
-    semidefinite), the test runs at x = max(target, max s*Ritz - m) - m.
-    LAPACK's arrow matrix lies within a few k*eps*|T| of T, so its root
-    moves by no more than that (Weyl); with slope >= 1, a trial whose
-    LAPACK value reaches x + m has f(x) <= -(m - that), far outside the
-    error of evaluating f.  Every kept trial reaches target - 3m.  Where
-    C*k*k <= 128 (C candidates; every k <= 2 at C <= 32) all trials are
-    returned: solving that few small blocks costs less than the filter.
+    x = max(target, max s*Ritz - m) - m, with Ritz the value of T on
+    span{(w_p, 0), (0, 1)}, w_p the extreme eigenvector with entry p zeroed:
+    a Rayleigh quotient of T, so the best trial reaches it.  w_p'G_S w_p and
+    w_p'g are formed from w_p itself, free of cancellation against v'G_S v.
+    m = 1e-12 * (trace G_S + max d) bounds the norm of every trial block
+    (Gram blocks are positive semidefinite).  eigh's lam and Q, and LAPACK's
+    trial values, are exact for blocks a few k*eps*|T| away, which moves
+    each root by far less than m (Weyl), so a trial whose LAPACK value
+    reaches x + m has f <= 0 there.  Evaluating f adds a few k*eps of its
+    terms' magnitudes, so a trial is dropped only where f > 1e-12 *
+    (|x| + d_c + a_c + R_pc^2 / mm_p).  Where C*k*k <= 128 (C candidates;
+    every k <= 2 at C <= 32) all trials are returned: solving that few
+    small blocks costs less than the filter.
     """
-    k = len(support)
-    if len(candidates) * k * k <= 128:
-        return np.arange(len(candidates) * k)
-    # rest[p] is the support without position p.
-    rest = support[_leave_one_out(k)]
-    mu, vecs = np.linalg.eigh(gram_full[rest[:, :, None], rest[:, None, :]])
-    # z[c, p] = V_p' G[S-p, c], over the eigenvalues in ascending order.
-    z = np.matmul(vecs.transpose(0, 2, 1), gram_full[rest[:, :, None], candidates])
-    z = z.transpose(2, 0, 1)
+    k, C = len(support), len(candidates)
+    if C * k * k <= 128:
+        return np.arange(C * k)
     ext = -1 if sign > 0 else 0
     diag = np.diagonal(gram_full)
-    d = diag[candidates][:, None]
+    d = diag[candidates]
+    g = gram_full[support[:, None], candidates]
+    w = np.where(np.eye(k, dtype=bool), 0.0, Q[:, ext, None])
+    ww = np.einsum("ip,ip->p", w, w)
+    wgw = np.einsum("ip,ip->p", w, gram_full[support[:, None], support] @ w)
+    live = ww > 0.0
+    alpha = (wgw[live] / ww[live])[:, None]
+    beta = (w.T[live] @ g) / np.sqrt(ww[live])[:, None]
+    ritz = 0.5 * (alpha + d) + sign * np.hypot(0.5 * (alpha - d), beta)
     margin = _MARGIN * (float(diag[support].sum()) + float(d.max()))
-    ritz = 0.5 * (mu[:, ext] + d) + sign * np.hypot(0.5 * (mu[:, ext] - d), z[..., ext])
     x = max(target, float(np.max(sign * ritz)) - margin) - margin
-    # At or below the pole every trial at that position reaches x.
-    gap = x - sign * mu
-    at_pole = gap[:, ext] <= 0.0
-    gap[at_pole] = np.inf
-    f = x - sign * d - np.sum(z**2 / gap, axis=-1)
-    return np.flatnonzero(at_pole | (f <= 0.0))
+    if x <= sign * lam[ext]:
+        return np.arange(C * k)
+    D = 1.0 / (x - sign * lam)
+    W = Q.T @ g
+    DW = D[:, None] * W
+    a = np.einsum("ic,ic->c", W, DW)
+    r2 = (Q @ DW) ** 2 / ((Q * Q) @ D)[:, None]
+    f = x - sign * d - a + r2
+    return np.flatnonzero((f <= _MARGIN * (abs(x) + d + a + r2)).T)
 
 
 def local_search(
@@ -249,20 +247,22 @@ def local_search(
     support over all restarts is returned; since every support certifies a
     lower bound on the RIC, more restarts never hurt.
 
-    Each sweep first drops, with `_contending_swaps`, every one of the C*k
-    trials (C = min(32, N - k)) that can be neither the steepest swap nor
-    an improving one: one eigh of the k blocks that leave one support
-    column out, then one secular-equation sign test per trial.  The others
-    go to `_first_extremes` in candidate-major, position-minor order, in
-    eigvalsh chunks of at most _STACK_BYTES; ties go to the first maximum
-    in that order.  If none is left the sweep stops.  The test is exact up
-    to a margin far above roundoff, so every trial that attains the maximum
-    is kept, and eigvalsh solves each matrix of a stack on its own:
-    supports, values and swap counts are bit-identical to solving every
-    trial.  On Gaussian matrices at n = 100 and k = 5-20, about 0.4-1.2% of
-    trials are solved in the upper mode and 0.8-3.5% in the lower mode.
+    Each sweep takes one eigh of the support's block: its extreme
+    eigenvector scores the candidates, and `_contending_swaps` uses the
+    whole decomposition to drop every one of the C*k trials (C = min(32,
+    N - k)) that can be neither the steepest swap nor an improving one, by
+    one Schur-complement sign test per trial.  The others go to
+    `_first_extremes` in candidate-major, position-minor order, in eigvalsh
+    chunks of at most _STACK_BYTES; ties go to the first maximum in that
+    order.  If none is left the sweep stops.  The test is exact up to a
+    margin far above roundoff, so every trial that attains the maximum is
+    kept, and eigvalsh solves each matrix of a stack on its own: supports,
+    values and swap counts are bit-identical to solving every trial.  On
+    Gaussian matrices at n = 100, N = 200-1000 and k = 5-20, about 0.6-1.1%
+    of trials are solved in the upper mode and 1.0-3.0% in the lower mode.
     The first sweep from a random start keeps the most: at n = 100, k = 64
-    in the lower mode, about half of its 2048 trials, 128 to a chunk.
+    in the lower mode, 1200 of its 2048 trials, 128 to a chunk.  lambda_min
+    is clamped at 0, so among supports at 0 the first wins.
 
     Restart RNG streams are spawned from one SeedSequence, so results are
     reproducible and independent of evaluation order.
@@ -275,6 +275,7 @@ def local_search(
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     _check_seed(seed)
     sign = 1.0 if mode == "upper" else -1.0
+    ext = -1 if mode == "upper" else 0
     gram_full = sample.gram
     A = sample.entries
     N = sample.N
@@ -284,19 +285,20 @@ def local_search(
     best_signed = -math.inf
     best_support: tuple[int, ...] = ()
     total_swaps = 0
-    streams = np.random.SeedSequence(seed).spawn(restarts)
-    for stream in streams:
+    for stream in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(stream)
         support = np.sort(rng.choice(N, size=k, replace=False))
-        val, vec = _objective(gram_full, support, mode)
         while True:
-            scores = np.abs(A.T @ (A[:, support] @ vec))
+            # One eigh per support; a Gram block is positive semidefinite.
+            lam, Q = np.linalg.eigh(gram_full[support[:, None], support])
+            val = max(float(lam[ext]), 0.0)
+            scores = np.abs(A.T @ (A[:, support] @ Q[:, ext]))
             scores[support] = -1.0
             top = np.flatnonzero(scores >= np.partition(scores, N - pool)[N - pool])
             candidates = top[np.argsort(-scores[top], kind="stable")[:pool]]
 
             alive = _contending_swaps(
-                gram_full, support, candidates, sign, sign * val + IMPROVE_TOL
+                gram_full, support, candidates, sign, sign * val + IMPROVE_TOL, lam, Q
             )
             if alive.size == 0:
                 break
@@ -307,9 +309,6 @@ def local_search(
             if sign * (t_val - val) <= IMPROVE_TOL:
                 break
             support = np.sort(t_support)
-            # Re-diagonalize after the sort: eigenvector entries must align
-            # with the sorted support order.
-            val, vec = _objective(gram_full, support, mode)
             total_swaps += 1
         if sign * val > best_signed:
             best_signed = sign * val

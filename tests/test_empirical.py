@@ -12,7 +12,6 @@ from ricbounds.empirical import (
     IMPROVE_TOL,
     EmpiricalRun,
     MatrixSample,
-    _MARGIN,
     _contending_swaps,
     exhaustive_ric,
     gram_extreme_eigs,
@@ -187,15 +186,17 @@ class TestExhaustive:
 
 def _per_support_exhaustive(sample, k):
     """Exhaustive enumeration with one eigvalsh call per support: the loop
-    that the chunked enumeration replaced, kept as an oracle."""
+    that the chunked enumeration replaced, kept as an oracle.  lambda_min is
+    clamped at 0, as a Gram block is positive semidefinite."""
     best_hi, best_lo, arg_hi, arg_lo = -math.inf, math.inf, (), ()
     for support in combinations(range(sample.N), k):
         idx = np.array(support)
         eigs = np.linalg.eigvalsh(sample.gram[np.ix_(idx, idx)])
         if eigs[-1] > best_hi:
             best_hi, arg_hi = float(eigs[-1]), support
-        if eigs[0] < best_lo:
-            best_lo, arg_lo = float(eigs[0]), support
+        lo = max(float(eigs[0]), 0.0)
+        if lo < best_lo:
+            best_lo, arg_lo = lo, support
     return 1.0 - best_lo, best_hi - 1.0, arg_hi, arg_lo
 
 
@@ -300,6 +301,39 @@ class TestLocalSearch:
         with pytest.raises(DomainError):
             local_search(s, 2, "upper", restarts=0)
 
+    def test_one_eigendecomposition_per_visited_support(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        run = local_search(sample_gaussian(100, 300, 0), 20, "upper", restarts=3, seed=0)
+        monkeypatch.undo()
+        assert run.swaps_taken > 0
+        assert calls == [(20, 20)] * (run.restarts + run.swaps_taken)
+
+    @pytest.mark.parametrize("seed", [15, 16, 17])
+    def test_rank_deficient_lower_mode_clamped(self, seed):
+        # A third of the columns are copies of others, so some 5-supports
+        # hold a column twice and their lambda_min is 0 up to roundoff.
+        entries = sample_gaussian(40, 80, seed).entries.copy()
+        rng = np.random.default_rng(seed)
+        entries[:, rng.choice(80, size=26, replace=False)] = entries[:, rng.choice(80, size=26)]
+        run = local_search(MatrixSample(40, 80, seed, entries), 5, "lower", restarts=4, seed=seed)
+        assert run.extreme_eig == 0.0
+        assert run.estimate == 1.0
+
+    @pytest.mark.parametrize("seed", [1, 5, 8])
+    def test_exhaustive_rank_deficient_min_clamped(self, seed):
+        # Supports holding both 3 and 7 are singular; roundoff puts their
+        # lambda_min on either side of 0.
+        entries = sample_gaussian(6, 10, seed).entries.copy()
+        entries[:, 7] = entries[:, 3]
+        assert exhaustive_ric(MatrixSample(6, 10, seed, entries), 3)[0] == 1.0
+
     @pytest.mark.parametrize("seed", [-1, 1.0, "1"])
     def test_seed_validation(self, seed):
         with pytest.raises(DomainError, match="seed"):
@@ -319,9 +353,10 @@ def _per_swap_search(sample, k, mode, restarts, seed):
     gram_full = A.T @ A
     N = sample.N
 
+    # Values are clamped at 0, as a Gram block is positive semidefinite.
     def objective(support):
         vals, vecs = np.linalg.eigh(gram_full[np.ix_(support, support)])
-        return float(vals[i]), vecs[:, i]
+        return max(float(vals[i]), 0.0), vecs[:, i]
 
     best_val, best_signed, best_support, total_swaps = math.nan, -math.inf, (), 0
     for stream in np.random.SeedSequence(seed).spawn(restarts):
@@ -340,7 +375,7 @@ def _per_swap_search(sample, k, mode, restarts, seed):
                 for pos in range(k):
                     trial = support.copy()
                     trial[pos] = j
-                    t_val = float(np.linalg.eigvalsh(gram_full[np.ix_(trial, trial)])[i])
+                    t_val = max(float(np.linalg.eigvalsh(gram_full[np.ix_(trial, trial)])[i]), 0.0)
                     if sign * (t_val - step_val) > 0.0:
                         step_val, step_support = t_val, trial
             if step_support is None or sign * (step_val - val) <= IMPROVE_TOL:
@@ -467,6 +502,12 @@ def _filter_cases(draw):
     return entries.T @ entries, support, candidates, mode, level
 
 
+def _filter(gram, support, candidates, sign, target):
+    """_contending_swaps on the support's own eigendecomposition."""
+    lam, Q = np.linalg.eigh(gram[np.ix_(support, support)])
+    return _contending_swaps(gram, support, candidates, sign, target, lam, Q)
+
+
 class TestContendingSwaps:
     @given(_filter_cases())
     @settings(max_examples=300, deadline=None)
@@ -477,28 +518,40 @@ class TestContendingSwaps:
         values = sign * _trial_values(gram, support, candidates, mode).ravel()
         low, high = values.min(), values.max()
         target = low + level * (high - low) + max(level - 1.0, 0.0) * abs(high)
-        kept = _contending_swaps(gram, support, candidates, sign, target)
+        kept = _filter(gram, support, candidates, sign, target)
         if len(candidates) * len(support) ** 2 <= 128:
             assert np.array_equal(kept, np.arange(len(values)))
             return
         winners = np.flatnonzero(values >= max(target, high))
         assert np.all(np.isin(winners, kept))
-        diag = np.diagonal(gram)
-        margin = _MARGIN * (diag[support].sum() + diag[candidates].max())
-        assert np.all(values[kept] >= target - 3.0 * margin)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_every_trial_is_kept_below_three_columns(self, k):
+        # Lower mode: every signed trial value is <= 0, so none reaches 1.
         gram = sample_gaussian(10, 20, 1).gram
-        kept = _contending_swaps(gram, np.arange(k), np.arange(6, 20), -1.0, np.inf)
+        kept = _filter(gram, np.arange(k), np.arange(6, 20), -1.0, 1.0)
         assert np.array_equal(kept, np.arange(14 * k))
 
     @pytest.mark.parametrize("k,C,solved", [(2, 32, 64), (3, 14, 42), (3, 15, 0), (4, 8, 32), (4, 9, 0)])
     def test_small_trial_stacks_skip_the_filter(self, k, C, solved):
-        # No trial reaches an infinite target, so only a skipped filter keeps any.
+        # No trial reaches the target 1, so only a skipped filter keeps any.
         gram = sample_gaussian(10, 40, 1).gram
-        kept = _contending_swaps(gram, np.arange(k), np.arange(k, k + C), -1.0, np.inf)
+        kept = _filter(gram, np.arange(k), np.arange(k, k + C), -1.0, 1.0)
         assert len(kept) == solved
+
+    def test_support_at_the_threshold_keeps_every_trial(self):
+        # Column 0 dominates, so the best trials keep it and lie within the
+        # margin of the support's own lambda_max: the test point x falls at
+        # or below it and the filter returns every trial, even those that
+        # swap column 0 out and lie some 1e12 below.
+        entries = sample_gaussian(10, 40, 1).entries.copy()
+        entries[:, 0] *= 1e6
+        gram, support, candidates = entries.T @ entries, np.arange(4), np.arange(4, 36)
+        values = _trial_values(gram, support, candidates, "upper").ravel()
+        lam_max = np.linalg.eigvalsh(gram[:4, :4])[-1]
+        assert values.min() < 1e-6 * lam_max
+        kept = _filter(gram, support, candidates, 1.0, lam_max + IMPROVE_TOL)
+        assert np.array_equal(kept, np.arange(len(values)))
 
 
 class TestSharpness:
