@@ -137,22 +137,27 @@ def exhaustive_ric(
     return 1.0 - lo, hi - 1.0, tuple(map(int, arg_hi)), tuple(map(int, arg_lo))
 
 
-def _first_extremes(gram_full: np.ndarray, supports, k: int):
-    """((lo, arg_lo), (hi, arg_hi)): least lambda_min and greatest lambda_max
-    over the Gram blocks of the k-supports (array rows or any iterable), each
-    with the first support attaining it; lambda_min is clamped at 0, as Gram
-    blocks are positive semidefinite.  One eigvalsh call takes at most
-    _STACK_BYTES of blocks and solves each on its own: chunks change no value.
-    """
+def _solved_chunks(gram_full: np.ndarray, supports, k: int):
+    """(chunk, eigvalsh of its Gram blocks) over the k-supports (array rows or
+    any iterable), in chunks of at most _STACK_BYTES: chunks change no value."""
     per = max(1, _STACK_BYTES // (8 * k * k))
     if isinstance(supports, np.ndarray):
         chunks = (supports[i : i + per] for i in range(0, len(supports), per))
     else:
         supports = iter(supports)
         chunks = map(np.array, iter(lambda: list(islice(supports, per)), []))
-    lo, hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
     for chunk in chunks:
-        eigs = np.linalg.eigvalsh(gram_full[chunk[:, :, None], chunk[:, None, :]])
+        yield chunk, np.linalg.eigvalsh(gram_full[chunk[:, :, None], chunk[:, None, :]])
+
+
+def _first_extremes(gram_full: np.ndarray, supports, k: int):
+    """((lo, arg_lo), (hi, arg_hi)): least lambda_min and greatest lambda_max
+    over the Gram blocks of the k-supports (array rows or any iterable), each
+    with the first support attaining it; lambda_min is clamped at 0, as Gram
+    blocks are positive semidefinite.
+    """
+    lo, hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
+    for chunk, eigs in _solved_chunks(gram_full, supports, k):
         low = np.maximum(eigs[:, 0], 0.0)
         i, j = int(np.argmin(low)), int(np.argmax(eigs[:, -1]))
         if low[i] < lo:
@@ -164,19 +169,20 @@ def _first_extremes(gram_full: np.ndarray, supports, k: int):
 
 def _contending_swaps(
     gram_full: np.ndarray,
-    support: np.ndarray,
+    supports: np.ndarray,
     candidates: np.ndarray,
     sign: float,
-    target: float,
+    target: np.ndarray,
     lam: np.ndarray,
     Q: np.ndarray,
 ) -> np.ndarray:
-    """Flat indices c*k + p of the trials that can still be the steepest swap.
-
-    Trial c*k + p puts candidates[c] at position p of the support, and
-    s*value (s = sign) is its signed extreme eigenvalue.  A trial is
-    dropped only if it cannot reach max(target, every trial's s*value).
-    lam, Q = eigh(G_S) is the decomposition of the support's block G[S, S].
+    """An (r, C, k) mask of the trials that can still be the steepest swap
+    of their restart.  Row i of every argument is restart i's: supports
+    (r, k), candidates (r, C), target (r,) and lam, Q = eigh(G_S), (r, k) and
+    (r, k, k), with G_S = G[S, S].  Trial (i, c, p) puts candidates[i, c] at
+    position p of supports[i]; s*value (s = sign) is its signed extreme
+    eigenvalue.  A trial is dropped only if it cannot reach max(target,
+    every trial's s*value) of its restart.
 
     Up to a permutation the trial block is T = [[B, g], [g', d]], with B =
     G_S less row and column p, g = G[S-p, c] and d = G[c, c].  For x > max
@@ -186,47 +192,53 @@ def _contending_swaps(
     1973).  The embedded inverse of M_-p, M^-1 - M^-1 e_p e_p'M^-1 / M^-1_pp,
     sends e_p to 0, so with D = 1/(x - s*lam), W = Q'G[S, C], a = sum D*W^2,
     R = Q(D*W) and mm = (Q*Q)D: f = x - s*d_c - a_c + R_pc^2 / mm_p.  Where
-    x <= max s*lam, every trial is returned.
+    x <= max s*lam, every trial of the restart is returned.
 
     x = max(target, max s*Ritz - m) - m, with Ritz the value of T on
     span{(w_p, 0), (0, 1)}, w_p the extreme eigenvector with entry p zeroed:
     a Rayleigh quotient of T, so the best trial reaches it.  w_p'G_S w_p and
-    w_p'g are formed from w_p itself, free of cancellation against v'G_S v.
-    m = 1e-12 * (trace G_S + max d) bounds the norm of every trial block
-    (Gram blocks are positive semidefinite).  eigh's lam and Q, and LAPACK's
-    trial values, are exact for blocks a few k*eps*|T| away, which moves
-    each root by far less than m (Weyl), so a trial whose LAPACK value
-    reaches x + m has f <= 0 there.  Evaluating f adds a few k*eps of its
-    terms' magnitudes, so a trial is dropped only where f > 1e-12 *
-    (|x| + d_c + a_c + R_pc^2 / mm_p).  Where C*k*k <= 128 (C candidates;
-    every k <= 2 at C <= 32) all trials are returned: solving that few
-    small blocks costs less than the filter.
+    w_p'g are formed from w_p itself, free of cancellation against v'G_S v;
+    a w_p that is 0 gives no Ritz value (at k = 1 none does, and x = target
+    - m).  m = 1e-12 * (sum lam + max d), sum lam = trace G_S, bounds the
+    norm of every trial block (Gram blocks are positive semidefinite).
+    eigh's lam and Q, and LAPACK's trial values, are exact for blocks a few
+    k*eps*|T| away, which moves each root by far less than m (Weyl), so a
+    trial whose LAPACK value reaches x + m has f <= 0 there.  Evaluating f
+    adds a few k*eps of its terms' magnitudes, so a trial is dropped only
+    where f > 1e-12 * (|x| + d_c + a_c + R_pc^2 / mm_p).  Where r*C*k*k <=
+    256 (k <= 2 at C <= 32 for two restarts) all trials are returned: the
+    filter's cost hardly grows with r, and that few small blocks cost less.
     """
-    k, C = len(support), len(candidates)
-    if C * k * k <= 128:
-        return np.arange(C * k)
+    r, k = supports.shape
+    C = candidates.shape[1]
+    if r * C * k * k <= 256:
+        return np.ones((r, C, k), dtype=bool)
     ext = -1 if sign > 0 else 0
-    diag = np.diagonal(gram_full)
-    d = diag[candidates]
-    g = gram_full[support[:, None], candidates]
-    w = np.where(np.eye(k, dtype=bool), 0.0, Q[:, ext, None])
-    ww = np.einsum("ip,ip->p", w, w)
-    wgw = np.einsum("ip,ip->p", w, gram_full[support[:, None], support] @ w)
-    live = ww > 0.0
-    alpha = (wgw[live] / ww[live])[:, None]
-    beta = (w.T[live] @ g) / np.sqrt(ww[live])[:, None]
-    ritz = 0.5 * (alpha + d) + sign * np.hypot(0.5 * (alpha - d), beta)
-    margin = _MARGIN * (float(diag[support].sum()) + float(d.max()))
-    x = max(target, float(np.max(sign * ritz)) - margin) - margin
-    if x <= sign * lam[ext]:
-        return np.arange(C * k)
-    D = 1.0 / (x - sign * lam)
-    W = Q.T @ g
-    DW = D[:, None] * W
-    a = np.einsum("ic,ic->c", W, DW)
-    r2 = (Q @ DW) ** 2 / ((Q * Q) @ D)[:, None]
-    f = x - sign * d - a + r2
-    return np.flatnonzero((f <= _MARGIN * (abs(x) + d + a + r2)).T)
+    diag = gram_full.diagonal()
+    d = diag[candidates][..., None]
+    g = gram_full[candidates[:, :, None], supports[:, None, :]]
+    Qt = Q.transpose(0, 2, 1)
+    # Column p of w is the extreme eigenvector with entry p zeroed.
+    w = np.where(np.eye(k, dtype=bool), 0.0, Q[:, :, ext, None])
+    ww = np.einsum("rip,rip->rp", w, w)[:, None, :]
+    wgw = np.einsum("rip,rip->rp", w, gram_full[supports[:, :, None], supports[:, None, :]] @ w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A zero w_p makes its Ritz values NaN, which fmax passes over; a
+        # restart at its fallback gets inf and NaN terms, which it ignores.
+        alpha = wgw[:, None, :] / ww
+        # Twice s*Ritz: s*(alpha + d) + hypot(alpha - d, 2*beta), beta = w_p'g / |w_p|.
+        ritz2 = sign * (alpha + d) + np.hypot(alpha - d, 2.0 * (g @ w) / np.sqrt(ww))
+        margin = _MARGIN * (lam.sum(axis=1) + d.max(axis=(1, 2)))
+        x = np.fmax(target, 0.5 * np.fmax.reduce(ritz2, axis=(1, 2)) - margin) - margin
+        fallback = x <= sign * lam[:, ext]
+        x = x[:, None, None]
+        D = 1.0 / (x - sign * lam[:, None, :])
+        W = g @ Q
+        DW = W * D
+        a = np.einsum("rcj,rcj->rc", W, DW)[..., None]
+        r2 = (DW @ Qt) ** 2 / (D @ (Qt * Qt))
+        f = x - sign * d - a + r2
+        return (f <= _MARGIN * (abs(x) + d + a + r2)) | fallback[:, None, None]
 
 
 def local_search(
@@ -240,32 +252,37 @@ def local_search(
 
     Per restart, starting from a uniform random support: score every
     out-column by |correlation with the image of the current extreme
-    eigenvector| (one product A'(A_S v)), take the best 32 by a partition
-    (an exact tie goes to the lower column), evaluate them exactly against
-    every possible leaving column, take the steepest improving swap, and
-    stop when no swap improves the objective by more than 1e-9.  The best
-    support over all restarts is returned; since every support certifies a
-    lower bound on the RIC, more restarts never hurt.
+    eigenvector| (one product A'(A_S v)), take the best 32 (an exact tie goes
+    to the lower column), evaluate them exactly against every possible
+    leaving column, take the steepest improving swap, and stop when no swap
+    improves the objective by more than 1e-9.  The best support over all
+    restarts is returned, the first restart to attain it on a tie; since
+    every support certifies a lower bound on the RIC, more restarts never
+    hurt.
 
-    Each sweep takes one eigh of the support's block: its extreme
-    eigenvector scores the candidates, and `_contending_swaps` uses the
-    whole decomposition to drop every one of the C*k trials (C = min(32,
-    N - k)) that can be neither the steepest swap nor an improving one, by
-    one Schur-complement sign test per trial.  The others go to
-    `_first_extremes` in candidate-major, position-minor order, in eigvalsh
-    chunks of at most _STACK_BYTES; ties go to the first maximum in that
-    order.  If none is left the sweep stops.  The test is exact up to a
-    margin far above roundoff, so every trial that attains the maximum is
-    kept, and eigvalsh solves each matrix of a stack on its own: supports,
-    values and swap counts are bit-identical to solving every trial.  On
-    Gaussian matrices at n = 100, N = 200-1000 and k = 5-20, about 0.6-1.1%
-    of trials are solved in the upper mode and 1.0-3.0% in the lower mode.
-    The first sweep from a random start keeps the most: at n = 100, k = 64
-    in the lower mode, 1200 of its 2048 trials, 128 to a chunk.  lambda_min
-    is clamped at 0, so among supports at 0 the first wins.
+    Restarts run in lockstep, in batches whose trial supports and scores
+    fill at most _STACK_BYTES.  A sweep advances every live restart at once:
+    one stacked eigh of their support blocks, whose extreme eigenvectors
+    score the candidates in one stacked product (a gemv per restart; a gemm
+    rounds differently), and one `_contending_swaps` call, which uses the
+    decompositions to drop every one of each restart's C*k trials (C =
+    min(32, N - k)) that can be neither its steepest swap nor an improving
+    one.  The trials left are solved together, in eigvalsh chunks of at most
+    _STACK_BYTES, and each restart takes the first maximum of its own trials
+    in candidate-major, position-minor order, or leaves when none improves.
+    The filter is exact up to a margin far above roundoff, so every trial
+    that attains the maximum is kept, and LAPACK solves each matrix of a
+    stack on its own: supports, values and swap counts are bit-identical to
+    running the restarts one by one and solving every trial.  On Gaussian
+    matrices at n = 100, N = 200-1000 and k = 5-20, about 0.6-1.1% of trials
+    are solved in the upper mode and 1.0-3.0% in the lower mode.  The first
+    sweep from a random start keeps the most: at n = 100, k = 64 in the
+    lower mode, 1200 of its 2048 trials, 128 to a chunk.  lambda_min is
+    clamped at 0, so among supports at 0 the first wins.
 
-    Restart RNG streams are spawned from one SeedSequence, so results are
-    reproducible and independent of evaluation order.
+    Restart RNG streams are spawned from one SeedSequence, one initial
+    support per stream, so results are reproducible and independent of
+    evaluation order.
     """
     if mode not in ("upper", "lower"):
         raise DomainError(f"mode must be 'upper' or 'lower', got {mode!r}")
@@ -280,41 +297,53 @@ def local_search(
     A = sample.entries
     N = sample.N
     pool = min(CANDIDATE_POOL, N - k)
+    # A restart's sweep holds pool*k trial supports of k columns and N scores.
+    batch = max(1, _STACK_BYTES // (8 * (pool * k * k + N)))
 
-    best_val = math.nan
-    best_signed = -math.inf
-    best_support: tuple[int, ...] = ()
+    streams = np.random.SeedSequence(seed).spawn(restarts)
+    supports = np.sort([np.random.default_rng(s).choice(N, size=k, replace=False) for s in streams], axis=1)
+    vals = np.empty(restarts)
     total_swaps = 0
-    for stream in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(stream)
-        support = np.sort(rng.choice(N, size=k, replace=False))
-        while True:
-            # One eigh per support; a Gram block is positive semidefinite.
-            lam, Q = np.linalg.eigh(gram_full[support[:, None], support])
-            val = max(float(lam[ext]), 0.0)
-            scores = np.abs(A.T @ (A[:, support] @ Q[:, ext]))
-            scores[support] = -1.0
-            top = np.flatnonzero(scores >= np.partition(scores, N - pool)[N - pool])
-            candidates = top[np.argsort(-scores[top], kind="stable")[:pool]]
+    for start in range(0, restarts, batch):
+        live = np.arange(start, min(start + batch, restarts))
+        S = supports[live]
+        while live.size:
+            # One stacked eigh, a block per support; Gram blocks are positive semidefinite.
+            lam, Q = np.linalg.eigh(gram_full[S[:, :, None], S[:, None, :]])
+            val = vals[live] = np.maximum(lam[:, ext], 0.0)
+            scores = np.abs(A.T @ (A[:, S].transpose(1, 0, 2) @ Q[:, :, ext, None]))[..., 0]
+            scores[np.arange(len(live))[:, None], S] = -1.0
+            # Descending score, an exact tie to the lower column: each row's first pool.
+            row, col = (scores >= np.partition(scores, N - pool, axis=1)[:, N - pool, None]).nonzero()
+            order = np.lexsort((-scores[row, col], row))
+            candidates = col[order[np.searchsorted(row, np.arange(len(live)))[:, None] + np.arange(pool)]]
 
-            alive = _contending_swaps(
-                gram_full, support, candidates, sign, sign * val + IMPROVE_TOL, lam, Q
+            keep = _contending_swaps(
+                gram_full, S, candidates, sign, sign * val + IMPROVE_TOL, lam, Q
             )
-            if alive.size == 0:
+            i, c, p = keep.nonzero()
+            if i.size == 0:
                 break
-            # Flat index c*k + pos is the support with candidates[c] at pos.
-            trials = np.repeat(support[None, :], alive.size, axis=0)
-            trials[np.arange(alive.size), alive % k] = candidates[alive // k]
-            t_val, t_support = _first_extremes(gram_full, trials, k)[mode == "upper"]
-            if sign * (t_val - val) <= IMPROVE_TOL:
-                break
-            support = np.sort(t_support)
-            total_swaps += 1
-        if sign * val > best_signed:
-            best_signed = sign * val
-            best_val = val
-            best_support = tuple(int(c) for c in support)
+            # Trial (i, c, p) is restart i's support with candidates[i, c] at position p.
+            trials = S[i]
+            trials[np.arange(i.size), p] = candidates[i, c]
+            t_val = np.full(keep.shape, -np.inf)
+            t_val[keep] = sign * np.maximum(
+                np.concatenate([e[:, ext] for _, e in _solved_chunks(gram_full, trials, k)]), 0.0
+            )
+            # Each restart's first maximum in candidate-major, position-minor order.
+            t_val = t_val.reshape(len(live), -1)
+            up = np.flatnonzero(t_val.max(axis=1) - sign * val > IMPROVE_TOL)
+            c, p = np.divmod(t_val[up].argmax(axis=1), k)
+            S = S[up]
+            S[np.arange(up.size), p] = candidates[up, c]
+            S.sort(axis=1)
+            live = live[up]
+            supports[live] = S
+            total_swaps += up.size
 
+    i = int(np.argmax(sign * vals))
+    best_val = float(vals[i])
     estimate = best_val - 1.0 if mode == "upper" else 1.0 - best_val
     return EmpiricalRun(
         n=sample.n,
@@ -322,7 +351,7 @@ def local_search(
         k=k,
         seed=seed,
         mode=mode,
-        best_support=best_support,
+        best_support=tuple(int(c) for c in supports[i]),
         extreme_eig=best_val,
         estimate=estimate,
         restarts=restarts,

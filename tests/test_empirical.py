@@ -245,7 +245,9 @@ class TestChunkedEigensolve:
         run = local_search(sample, k, mode, restarts=3, seed=1)
         assert run == _per_swap_search(sample, k, mode, restarts=3, seed=1)
 
-    def test_no_stack_exceeds_the_budget_at_k_64(self, monkeypatch):
+    @staticmethod
+    def _stacks_at_k_64(monkeypatch, restarts):
+        """Bytes of every eigvalsh stack of a k = 64 lower-mode search."""
         stacks = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -254,10 +256,20 @@ class TestChunkedEigensolve:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        local_search(sample_gaussian(100, 300, 0), 64, "lower", restarts=1, seed=0)
+        local_search(sample_gaussian(100, 300, 0), 64, "lower", restarts=restarts, seed=0)
         monkeypatch.undo()
+        return stacks
+
+    def test_no_stack_exceeds_the_budget_at_k_64(self, monkeypatch):
+        stacks = self._stacks_at_k_64(monkeypatch, 1)
         # Far more blocks are solved than one chunk holds.
         assert sum(stacks) > empirical._STACK_BYTES
+        assert max(stacks) <= empirical._STACK_BYTES
+
+    def test_no_stack_exceeds_the_budget_at_k_64_over_restarts(self, monkeypatch):
+        # Four restarts solve their trials together, still chunk by chunk.
+        stacks = self._stacks_at_k_64(monkeypatch, 4)
+        assert sum(stacks) > 4 * empirical._STACK_BYTES
         assert max(stacks) <= empirical._STACK_BYTES
 
 
@@ -313,7 +325,9 @@ class TestLocalSearch:
         run = local_search(sample_gaussian(100, 300, 0), 20, "upper", restarts=3, seed=0)
         monkeypatch.undo()
         assert run.swaps_taken > 0
-        assert calls == [(20, 20)] * (run.restarts + run.swaps_taken)
+        # One stacked eigh per sweep, over the restarts still searching.
+        assert all(len(shape) == 3 and shape[1:] == (20, 20) for shape in calls)
+        assert sum(shape[0] for shape in calls) == run.restarts + run.swaps_taken
 
     @pytest.mark.parametrize("seed", [15, 16, 17])
     def test_rank_deficient_lower_mode_clamped(self, seed):
@@ -343,10 +357,11 @@ class TestLocalSearch:
         assert sample_gaussian(5, 10, np.int64(3)).seed == 3
 
 
-def _per_swap_search(sample, k, mode, restarts, seed):
-    """Local search with one eigvalsh call per trial swap: the loop that the
-    stacked sweep replaced, kept as an oracle.  Trials are solved by the
-    sweep's own driver; eigh rounds differently on rank-deficient blocks."""
+def _per_swap_restarts(sample, k, mode, restarts, seed):
+    """Each restart's final (value, support, swaps), from a local search run
+    restart after restart with one eigvalsh call per trial swap: the loops
+    that the lockstep, stacked sweep replaced, kept as an oracle.  eigh
+    rounds differently on rank-deficient blocks than eigvalsh."""
     sign = 1.0 if mode == "upper" else -1.0
     i = -1 if mode == "upper" else 0
     A = sample.entries
@@ -358,8 +373,9 @@ def _per_swap_search(sample, k, mode, restarts, seed):
         vals, vecs = np.linalg.eigh(gram_full[np.ix_(support, support)])
         return max(float(vals[i]), 0.0), vecs[:, i]
 
-    best_val, best_signed, best_support, total_swaps = math.nan, -math.inf, (), 0
+    finals = []
     for stream in np.random.SeedSequence(seed).spawn(restarts):
+        swaps = 0
         rng = np.random.default_rng(stream)
         support = np.sort(rng.choice(N, size=k, replace=False))
         val, vec = objective(support)
@@ -382,10 +398,16 @@ def _per_swap_search(sample, k, mode, restarts, seed):
                 break
             support = np.sort(step_support)
             val, vec = objective(support)
-            total_swaps += 1
-        if sign * val > best_signed:
-            best_signed, best_val = sign * val, val
-            best_support = tuple(int(c) for c in support)
+            swaps += 1
+        finals.append((val, tuple(int(c) for c in support), swaps))
+    return finals
+
+
+def _per_swap_search(sample, k, mode, restarts, seed):
+    """The oracle's run: the first restart to attain the best signed value."""
+    finals = _per_swap_restarts(sample, k, mode, restarts, seed)
+    sign = 1.0 if mode == "upper" else -1.0
+    best_val, best_support, _ = max(finals, key=lambda f: sign * f[0])
     return EmpiricalRun(
         n=sample.n,
         N=sample.N,
@@ -396,7 +418,7 @@ def _per_swap_search(sample, k, mode, restarts, seed):
         extreme_eig=best_val,
         estimate=best_val - 1.0 if mode == "upper" else 1.0 - best_val,
         restarts=restarts,
-        swaps_taken=total_swaps,
+        swaps_taken=sum(f[2] for f in finals),
     )
 
 
@@ -421,6 +443,40 @@ class TestStackedSweep:
         run = local_search(sample, k, mode, restarts=2, seed=seed)
         assert run == _per_swap_search(sample, k, mode, restarts=2, seed=seed)
 
+    @pytest.mark.parametrize("n,N,k,restarts", [(40, 120, 5, 30), (100, 500, 10, 7)])
+    @pytest.mark.parametrize("mode", ["upper", "lower"])
+    def test_restarts_stopping_at_different_sweeps_match_oracle(
+        self, monkeypatch, n, N, k, restarts, mode
+    ):
+        live = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            live.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sample = sample_gaussian(n, N, 1)
+        run = local_search(sample, k, mode, restarts=restarts, seed=1)
+        monkeypatch.undo()
+        # Every restart starts in one batch, which shrinks as they stop.
+        assert live[0] == restarts
+        assert len(set(live)) > 2
+        assert run == _per_swap_search(sample, k, mode, restarts=restarts, seed=1)
+
+    @pytest.mark.parametrize("restarts,seed", [(7, 1), (30, 0)])
+    def test_exact_tie_across_restarts_goes_to_the_first(self, restarts, seed):
+        # Restarts end on {0, 3} and on {0, 7}, whose lambda_max tie exactly:
+        # the first restart in restart order to attain the best value wins.
+        sample = _tie_sample(8, 12, 5)
+        finals = _per_swap_restarts(sample, 2, "upper", restarts, seed)
+        best = max(v for v, _, _ in finals)
+        tied = [support for v, support, _ in finals if v == best]
+        assert set(tied) == {(0, 3), (0, 7)}
+        run = local_search(sample, 2, "upper", restarts=restarts, seed=seed)
+        assert run.best_support == tied[0]
+        assert run == _per_swap_search(sample, 2, "upper", restarts=restarts, seed=seed)
+
     def test_exact_tie_goes_to_first_maximum(self):
         sample = _tie_sample(8, 12, 5)
         run = local_search(sample, 2, "upper", restarts=4, seed=0)
@@ -433,40 +489,60 @@ class TestStackedSweep:
         # this search a pruned sweep takes such a tie as its steepest swap,
         # and the last maximum would lead elsewhere.
         sample = _tie_sample(20, 40, 0)
-        solved = []
-        eigvalsh = np.linalg.eigvalsh
+        kept, solved = [], []
+        eigvalsh, contending = np.linalg.eigvalsh, empirical._contending_swaps
+
+        def recorded_filter(*args):
+            keep = contending(*args)
+            kept.append(keep)
+            return keep
 
         def recorded(a, *args, **kwargs):
             vals = eigvalsh(a, *args, **kwargs)
             solved.append(vals[:, 0])
             return vals
 
+        monkeypatch.setattr(empirical, "_contending_swaps", recorded_filter)
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         run = local_search(sample, 3, "lower", restarts=4, seed=1)
         monkeypatch.undo()
         assert run == _per_swap_search(sample, 3, "lower", restarts=4, seed=1)
+        # One stack per sweep holds every restart's kept trials in turn;
+        # restart i's segment is its rows of the stack.
+        kept = [keep for keep in kept if keep.any()]
+        assert len(kept) == len(solved)
+        segments = [
+            v[np.nonzero(keep)[0] == i] for keep, v in zip(kept, solved) for i in range(len(keep))
+        ]
         assert any(
-            len(v) < CANDIDATE_POOL * 3 and np.count_nonzero(v == v.min()) > 1
-            for v in solved
+            0 < len(v) < CANDIDATE_POOL * 3 and np.count_nonzero(v == v.min()) > 1
+            for v in segments
         )
 
     @pytest.mark.parametrize("n,N,k", [(100, 200, 5), (100, 500, 10), (100, 300, 20)])
     @pytest.mark.parametrize("mode", ["upper", "lower"])
     def test_pruned_sweep_solves_few_trials(self, monkeypatch, n, N, k, mode):
-        counts = []
-        eigvalsh = np.linalg.eigvalsh
+        counts, live = [], []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def counted_eigh(a, *args, **kwargs):
+            live.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
 
         def counted(a, *args, **kwargs):
-            counts.append(a.shape[0])
+            # The sweep's eigh came first and holds its live restarts.
+            counts.append((a.shape[0], live[-1]))
             return eigvalsh(a, *args, **kwargs)
 
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         run = local_search(sample_gaussian(n, N, 3), k, mode, restarts=3, seed=3)
+        monkeypatch.undo()
         sweeps = run.swaps_taken + run.restarts
         pool = CANDIDATE_POOL * k
         assert len(counts) <= sweeps
-        assert all(1 <= c <= pool for c in counts)
-        assert sum(counts) <= sweeps * pool // 16
+        assert all(1 <= c <= r * pool for c, r in counts)
+        assert sum(c for c, _ in counts) <= sweeps * pool // 16
 
 
 def _trial_values(gram, support, candidates, mode):
@@ -502,10 +578,28 @@ def _filter_cases(draw):
     return entries.T @ entries, support, candidates, mode, level
 
 
+def _equicorrelated(rho, eps, seed):
+    """Gram matrix of 35 columns: 0-3 are unit columns with correlations rho,
+    3 then lengthened by a factor sqrt(1 + eps); 4-34 are shorter, orthogonal
+    to each other and to the rest.  Orthonormal directions are drawn from the
+    seed."""
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((36, 36)))[0]
+    entries = np.hstack([
+        math.sqrt(rho) * basis[:, :1] + math.sqrt(1.0 - rho) * basis[:, 1:5],
+        0.5 * basis[:, 5:],
+    ])
+    entries[:, 3] *= math.sqrt(1.0 + eps)
+    return entries.T @ entries
+
+
 def _filter(gram, support, candidates, sign, target):
-    """_contending_swaps on the support's own eigendecomposition."""
+    """_contending_swaps for one restart, on its support's own
+    eigendecomposition: the flat indices c*k + p of the kept trials."""
     lam, Q = np.linalg.eigh(gram[np.ix_(support, support)])
-    return _contending_swaps(gram, support, candidates, sign, target, lam, Q)
+    keep = _contending_swaps(
+        gram, support[None], candidates[None], sign, np.array([target]), lam[None], Q[None]
+    )
+    return np.flatnonzero(keep)
 
 
 class TestContendingSwaps:
@@ -519,11 +613,35 @@ class TestContendingSwaps:
         low, high = values.min(), values.max()
         target = low + level * (high - low) + max(level - 1.0, 0.0) * abs(high)
         kept = _filter(gram, support, candidates, sign, target)
-        if len(candidates) * len(support) ** 2 <= 128:
+        if len(candidates) * len(support) ** 2 <= 256:
             assert np.array_equal(kept, np.arange(len(values)))
             return
         winners = np.flatnonzero(values >= max(target, high))
         assert np.all(np.isin(winners, kept))
+
+    @given(_filter_cases(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_each_restart_of_a_call_keeps_its_winners(self, case, seed, level2):
+        # A second restart on the same matrix, with its own support,
+        # candidates and target, shares the filter call with the first.
+        gram, support, candidates, mode, level = case
+        sign = 1.0 if mode == "upper" else -1.0
+        order = np.random.default_rng(seed).permutation(len(gram))
+        k, C = len(support), len(candidates)
+        rows = [(support, candidates, level), (np.sort(order[:k]), order[k : k + C], level2)]
+        values, targets = [], []
+        for sup, cand, lev in rows:
+            v = sign * _trial_values(gram, sup, cand, mode).ravel()
+            values.append(v)
+            targets.append(v.min() + lev * (v.max() - v.min()) + max(lev - 1.0, 0.0) * abs(v.max()))
+        supports = np.array([sup for sup, _, _ in rows])
+        lam, Q = np.linalg.eigh(gram[supports[:, :, None], supports[:, None, :]])
+        keep = _contending_swaps(
+            gram, supports, np.array([cand for _, cand, _ in rows]), sign, np.array(targets), lam, Q
+        )
+        for kept, v, target in zip(keep, values, targets):
+            winners = np.flatnonzero(v >= max(target, v.max()))
+            assert np.all(np.isin(winners, np.flatnonzero(kept)))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_every_trial_is_kept_below_three_columns(self, k):
@@ -532,12 +650,64 @@ class TestContendingSwaps:
         kept = _filter(gram, np.arange(k), np.arange(6, 20), -1.0, 1.0)
         assert np.array_equal(kept, np.arange(14 * k))
 
-    @pytest.mark.parametrize("k,C,solved", [(2, 32, 64), (3, 14, 42), (3, 15, 0), (4, 8, 32), (4, 9, 0)])
+    @pytest.mark.parametrize(
+        "k,C,solved",
+        [(2, 32, 64), (3, 14, 42), (3, 28, 84), (3, 29, 0), (4, 8, 32), (4, 16, 64), (4, 17, 0)],
+    )
     def test_small_trial_stacks_skip_the_filter(self, k, C, solved):
         # No trial reaches the target 1, so only a skipped filter keeps any.
         gram = sample_gaussian(10, 40, 1).gram
         kept = _filter(gram, np.arange(k), np.arange(k, k + C), -1.0, 1.0)
         assert len(kept) == solved
+
+    @pytest.mark.parametrize("restarts,solved", [(1, 64), (2, 128), (3, 0)])
+    def test_skip_rule_counts_the_trials_of_every_restart(self, restarts, solved):
+        # k = 2, C = 32: the trials of one or two restarts are solved whole,
+        # those of three are filtered, and none reaches the target 1.
+        gram = sample_gaussian(10, 40, 1).gram
+        lam, Q = np.linalg.eigh(gram[:2, :2])
+        keep = _contending_swaps(
+            gram,
+            np.tile(np.arange(2), (restarts, 1)),
+            np.tile(np.arange(2, 34), (restarts, 1)),
+            -1.0,
+            np.ones(restarts),
+            np.tile(lam, (restarts, 1)),
+            np.tile(Q, (restarts, 1, 1)),
+        )
+        assert np.count_nonzero(keep) == solved
+
+    def test_one_column_supports_keep_the_trials_that_reach_the_target(self):
+        # At k = 1 no w_p is nonzero, so there is no Ritz value and x is the
+        # target less the margin.  Nine restarts hold 9*32 > 256 trials, so
+        # the filter runs, and a trial's value is its candidate's d_c.  The
+        # targets lie above each support's own value, as in a search.
+        gram = sample_gaussian(10, 41, 1).gram
+        diag = np.diagonal(gram)
+        supports, candidates = np.arange(9)[:, None], np.tile(np.arange(9, 41), (9, 1))
+        lam, Q = np.linalg.eigh(gram[supports[:, :, None], supports[:, None, :]])
+        target = np.maximum(np.median(diag[9:]), diag[:9] + IMPROVE_TOL)
+        assert np.min(np.abs(diag[9:] - target[:, None])) > 1e-6
+        keep = _contending_swaps(gram, supports, candidates, 1.0, target, lam, Q)
+        assert np.array_equal(keep[..., 0], diag[9:] >= target[:, None])
+        assert 0 < np.count_nonzero(keep) < keep.size
+
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7])
+    def test_winner_just_above_the_support_is_kept(self, rho, eps):
+        # Column 3 at any position of the support {0, 1, 2} gains about
+        # eps/3 in lambda_max, so x lies that close above the support's own
+        # lambda_max.  There a_c and R_pc^2 / mm_p grow like rho/eps and
+        # cancel, and their rounding errors outgrow the margin: with the drop
+        # rule f > 0 some of these winners are dropped.
+        support, candidates = np.arange(3), np.arange(3, 35)
+        for seed in range(5):
+            gram = _equicorrelated(rho, eps, seed)
+            values = _trial_values(gram, support, candidates, "upper").ravel()
+            lam_max = np.linalg.eigvalsh(gram[:3, :3])[-1]
+            assert lam_max + IMPROVE_TOL < values.max() < lam_max + eps
+            kept = _filter(gram, support, candidates, 1.0, lam_max + IMPROVE_TOL)
+            assert np.all(np.isin(np.flatnonzero(values == values.max()), kept))
 
     def test_support_at_the_threshold_keeps_every_trial(self):
         # Column 0 dominates, so the best trials keep it and lie within the
