@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end; its argparse PARSER is built once, at import.
 
 Subcommands: bounds (single point), grid (surface sweep), finite (tail
 probabilities at concrete sizes), empirical (sampled estimates vs theory),
@@ -11,21 +11,21 @@ aligned key/value text.  --format json gives a versioned envelope,
 or phase.  Numbers print in shortest round-trip form.  Every randomized
 command is replay deterministic given --seed.
 
-Exit codes: 0 success, 2 domain error, 3 solver failure, 4 guard refusal,
-5 I/O failure.
+Exit codes: 0 success, 1 interrupted (Ctrl-C or stdout closed early), 2
+usage or domain error, 3 solver failure, 4 guard refusal, 5 I/O failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
-
-import click
 
 # numpy, empirical and covering load inside the commands that use them, so
 # the other commands start without numpy.
@@ -67,7 +67,7 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 def _write_out(content: str, out: str | None) -> None:
     if out is None:
-        click.echo(content, nl=not content.endswith("\n"))
+        print(content, end="" if content.endswith("\n") else "\n", flush=True)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -76,55 +76,29 @@ def _write_out(content: str, out: str | None) -> None:
         raise IOFailure(f"cannot write {out}: {exc}") from exc
 
 
-def _emit(ctx, command: str, params: dict, results, *, columns=None, figure=None):
+def _emit(args, params: dict, results, *, columns=None, figure=None):
     """Write results, a table (list of rows) or one record (dict), in the
     requested --format; figure() builds the SVG only when it is asked for."""
-    opts = ctx.obj
-    fmt = opts["format"]
-    if fmt == "json":
+    if args.fmt == "json":
         envelope = {
             "schema_version": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "params": params,
-            "seed": opts["seed"],
-            "wall_time_s": time.monotonic() - opts["t0"],
+            "seed": args.seed,
+            "wall_time_s": time.monotonic() - args.t0,
             "results": results,
         }
         text = json.dumps(envelope, indent=2, allow_nan=True)
-    elif fmt == "svg":
+    elif args.fmt == "svg":
         text = figure()
     elif isinstance(results, list):
         text = _rows_to_csv(results, columns)
-    elif fmt == "csv":
+    elif args.fmt == "csv":
         text = _rows_to_csv([results], list(results))
     else:
         width = max(map(len, results))
         text = "\n".join(f"{key:<{width}}  {_cell(v)}".rstrip() for key, v in results.items())
-    _write_out(text, opts["out"])
-
-
-@click.group()
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output to a file.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Root RNG seed.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json", "svg"]), default=None,
-    help="Output format [default: CSV for tables, key/value text for records].",
-)
-@click.pass_context
-def cli(ctx, out, seed, fmt):
-    """Probabilistic bounds on restricted isometry constants of Gaussian
-    matrices: asymptotic bound families, finite-size tail probabilities,
-    empirical estimates, covering simulations, and recovery phase curves."""
-    if fmt == "svg" and ctx.invoked_subcommand not in ("grid", "phase"):
-        raise DomainError(f"--format svg draws grid and phase only, not {ctx.invoked_subcommand}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    ctx.obj = {
-        "out": out,
-        "seed": seed,
-        "format": fmt,
-        "t0": time.monotonic(),
-    }
+    _write_out(text, args.out)
 
 
 def _bound_record(b: asymptotic.AsymptoticBound) -> dict:
@@ -152,15 +126,10 @@ def _bound_record(b: asymptotic.AsymptoticBound) -> dict:
     return rec
 
 
-@cli.command()
-@click.argument("delta", type=float)
-@click.argument("rho", type=float)
-@click.option("--family", type=click.Choice(asymptotic.FAMILIES), default="BT", show_default=True)
-@click.pass_context
-def bounds(ctx, delta, rho, family):
-    """Bound values at a single (DELTA, RHO) point."""
-    b = asymptotic.compute_bounds(family, delta, rho)
-    _emit(ctx, "bounds", {"delta": delta, "rho": rho, "family": family}, _bound_record(b))
+def bounds(args) -> None:
+    """Bound values at a single (delta, rho) point."""
+    b = asymptotic.compute_bounds(args.family, args.delta, args.rho)
+    _emit(args, {"delta": args.delta, "rho": args.rho, "family": args.family}, _bound_record(b))
 
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
@@ -179,57 +148,38 @@ def _parse_families(text: str) -> list[str]:
     return fams
 
 
-@cli.command()
-@click.option("--delta-min", type=float, default=0.05, show_default=True)
-@click.option("--delta-max", type=float, default=0.9524, show_default=True)
-@click.option("--delta-steps", type=int, default=20, show_default=True)
-@click.option("--rho-min", type=float, default=0.05, show_default=True)
-@click.option("--rho-max", type=float, default=0.95, show_default=True)
-@click.option("--rho-steps", type=int, default=20, show_default=True)
-@click.option("--families", default="BT", show_default=True, help="Comma-separated subset of BT,BCT,CT.")
-@click.pass_context
-def grid(ctx, delta_min, delta_max, delta_steps, rho_min, rho_max, rho_steps, families):
+def grid(args) -> None:
     """Sweep the bound families over a (delta, rho) grid."""
-    fams = _parse_families(families)
-    deltas = _linspace(delta_min, delta_max, delta_steps)
-    rhos = _linspace(rho_min, rho_max, rho_steps)
+    fams = _parse_families(args.families)
+    deltas = _linspace(args.delta_min, args.delta_max, args.delta_steps)
+    rhos = _linspace(args.rho_min, args.rho_max, args.rho_steps)
     points = [(f, d, r) for f in fams for d in deltas for r in rhos]
     bounds_list = [asymptotic.compute_bounds(f, d, r) for f, d, r in points]
-    rows = [
-        {c: rec.get(c) for c in GRID_COLUMNS}
-        for rec in map(_bound_record, bounds_list)
-    ]
+    rows = [{c: getattr(b, c) for c in GRID_COLUMNS} for b in bounds_list]
     # The heatmap draws the first family, whose points lead bounds_list.
     surface = [
         [bounds_list[i * len(rhos) + j].U for i in range(len(deltas))]
         for j in range(len(rhos))
     ]
     params = {
-        "delta_range": [delta_min, delta_max, delta_steps],
-        "rho_range": [rho_min, rho_max, rho_steps],
+        "delta_range": [args.delta_min, args.delta_max, args.delta_steps],
+        "rho_range": [args.rho_min, args.rho_max, args.rho_steps],
         "families": fams,
     }
-    _emit(ctx, "grid", params, rows, columns=GRID_COLUMNS,
+    _emit(args, params, rows, columns=GRID_COLUMNS,
           figure=lambda: heatmap_svg(surface, deltas, rhos, f"U {fams[0]} bound surface"))
 
 
-@cli.command("finite")
-@click.argument("k", type=int)
-@click.argument("n", type=int)
-@click.argument("n_total", type=int, metavar="N")
-@click.option("--epsilon", type=float, default=1e-3, show_default=True)
-@click.option("--side", type=click.Choice(["upper", "lower"]), default="upper", show_default=True)
-@click.pass_context
-def finite_cmd(ctx, k, n, n_total, epsilon, side):
-    """Tail probability bound at a concrete size (K, N_ROWS, N)."""
-    inst = finite.FiniteInstance(k=k, n=n, N=n_total, epsilon=epsilon)
-    tb = finite.tail_prob_upper(inst) if side == "upper" else finite.tail_prob_lower(inst)
+def finite_cmd(args) -> None:
+    """Tail probability bound at a concrete size (k, n, N)."""
+    inst = finite.FiniteInstance(k=args.k, n=args.n, N=args.N, epsilon=args.epsilon)
+    tb = finite.tail_prob_upper(inst) if args.side == "upper" else finite.tail_prob_lower(inst)
     rec = {
         "side": tb.side,
-        "k": k,
-        "n": n,
-        "N": n_total,
-        "epsilon": epsilon,
+        "k": args.k,
+        "n": args.n,
+        "N": args.N,
+        "epsilon": args.epsilon,
         "total": tb.total,
         "eig_term": tb.eig_term,
         "cover_term": tb.cover_term,
@@ -243,44 +193,37 @@ def finite_cmd(ctx, k, n, n_total, epsilon, side):
         "log_prefactor_proof": tb.log_prefactor_proof,
         "log_prefactor_stated": tb.log_prefactor_stated,
     }
-    _emit(ctx, "finite", {"k": k, "n": n, "N": n_total, "epsilon": epsilon, "side": side}, rec)
+    params = {"k": args.k, "n": args.n, "N": args.N, "epsilon": args.epsilon, "side": args.side}
+    _emit(args, params, rec)
 
 
 EMPIRICAL_COLUMNS = ["n", "N", "k", "U_est", "L_est", "U_theory", "L_theory",
                      "ratio_U", "ratio_L", "error"]
 
 
-@cli.command("empirical")
-@click.option("--n", "n_rows", type=int, default=100, show_default=True)
-@click.option("--sizes", default="200,400", show_default=True, help="Comma-separated N values.")
-@click.option("--k-frac", type=float, default=0.05, show_default=True,
-              help="Sparsity rule, 0 < k_frac < 1: k = max(1, round(k_frac * n)).")
-@click.option("--k", "k_fixed", type=int, default=None, help="Fixed k overriding --k-frac.")
-@click.option("--restarts", type=int, default=100, show_default=True)
-@click.pass_context
-def empirical_cmd(ctx, n_rows, sizes, k_frac, k_fixed, restarts):
+def empirical_cmd(args) -> None:
     """Empirical RIC estimates vs theory across matrix widths.
 
     Guard violations are reported per cell; the sweep continues.
     """
     from . import empirical
 
+    n_rows, k_fixed, restarts, seed = args.n_rows, args.k_fixed, args.restarts, args.seed
     try:
-        n_list = [int(s) for s in sizes.split(",") if s.strip()]
+        n_list = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
-        raise DomainError(f"sizes must be comma-separated integers, got {sizes!r}") from None
+        raise DomainError(f"sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not n_list or min(n_list) < 1:
-        raise DomainError(f"sizes must list positive integers, got {sizes!r}")
+        raise DomainError(f"sizes must list positive integers, got {args.sizes!r}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     if n_rows < 1:
         raise DomainError(f"n must be >= 1, got {n_rows}")
     if k_fixed is not None and k_fixed < 1:
         raise DomainError(f"k must be >= 1, got {k_fixed}")
-    if not 0.0 < k_frac < 1.0:
-        raise DomainError(f"k-frac must be in (0,1), got {k_frac}")
-    k = k_fixed if k_fixed is not None else max(1, round(k_frac * n_rows))
-    seed = ctx.obj["seed"]
+    if not 0.0 < args.k_frac < 1.0:
+        raise DomainError(f"k-frac must be in (0,1), got {args.k_frac}")
+    k = k_fixed if k_fixed is not None else max(1, round(args.k_frac * n_rows))
 
     def run_cell(N: int) -> dict:
         row = {"n": n_rows, "N": N, "k": k, "error": ""}
@@ -303,23 +246,16 @@ def empirical_cmd(ctx, n_rows, sizes, k_frac, k_fixed, restarts):
 
     rows = [run_cell(N) for N in n_list]
     params = {"n": n_rows, "sizes": n_list, "k": k, "restarts": restarts}
-    _emit(ctx, "empirical", params, rows, columns=EMPIRICAL_COLUMNS)
+    _emit(args, params, rows, columns=EMPIRICAL_COLUMNS)
 
 
 PHASE_COLUMNS = ["delta", "family", "rho_star"]
 
 
-@cli.command("phase")
-@click.option("--delta-steps", type=int, default=50, show_default=True)
-@click.option("--delta-min", type=float, default=0.05, show_default=True)
-@click.option("--delta-max", type=float, default=0.9524, show_default=True)
-@click.option("--families", default="BT", show_default=True,
-              help="Comma-separated; pass BT,BCT to co-plot both curves.")
-@click.pass_context
-def phase_cmd(ctx, delta_steps, delta_min, delta_max, families):
+def phase_cmd(args) -> None:
     """l1 recovery phase-transition curve rho*(delta)."""
-    fams = _parse_families(families)
-    deltas = _linspace(delta_min, delta_max, delta_steps)
+    fams = _parse_families(args.families)
+    deltas = _linspace(args.delta_min, args.delta_max, args.delta_steps)
     points = [(f, d) for f in fams for d in deltas]
     stars = [asymptotic.l1_phase_transition(d, f) for f, d in points]
     rows = [
@@ -330,66 +266,129 @@ def phase_cmd(ctx, delta_steps, delta_min, delta_max, families):
         f: (deltas, [r["rho_star"] for r in rows if r["family"] == f])
         for f in fams
     }
-    params = {"delta_range": [delta_min, delta_max, delta_steps], "families": fams}
-    _emit(ctx, "phase", params, rows, columns=PHASE_COLUMNS,
+    params = {"delta_range": [args.delta_min, args.delta_max, args.delta_steps], "families": fams}
+    _emit(args, params, rows, columns=PHASE_COLUMNS,
           figure=lambda: curve_svg(series, "l1 phase transition lower bound"))
 
 
-@cli.command("cover")
-@click.option("--universe", "-N", "n_universe", type=int, required=True, help="Universe size N.")
-@click.option("--k", type=int, required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--u", type=int, default=None, help="Supersets to draw, >= 0 [default: ceil(r*N)].")
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--details", is_flag=True, help="Include per-trial outcomes.")
-@click.pass_context
-def cover_cmd(ctx, n_universe, k, m, u, trials, details):
+def cover_cmd(args) -> None:
     """Monte-Carlo check of the random covering construction."""
     import numpy as np
     from . import covering
 
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    plan = covering.CoveringPlan(N=n_universe, k=k, m=m, u=u)
-    rng = np.random.default_rng(ctx.obj["seed"])
+    if args.trials < 1:
+        raise DomainError(f"trials must be >= 1, got {args.trials}")
+    plan = covering.CoveringPlan(N=args.universe, k=args.k, m=args.m, u=args.u)
+    rng = np.random.default_rng(args.seed)
     uncovered = [
         covering.random_cover(dataclasses.replace(plan, seed=int(ts)))[1]
-        for ts in rng.integers(2**63, size=trials)
+        for ts in rng.integers(2**63, size=args.trials)
     ]
     failures = sum(1 for unc in uncovered if unc)
     cb = covering.covering_bound(plan)
     rec = {
-        "N": n_universe,
-        "k": k,
-        "m": m,
+        "N": args.universe,
+        "k": args.k,
+        "m": args.m,
         "r": plan.r,
         "u": plan.u,
-        "trials": trials,
+        "trials": args.trials,
         "failures": failures,
-        "failure_frequency": failures / trials,
+        "failure_frequency": failures / args.trials,
         "bound_envelope": cb.envelope,
         "log_bound_envelope": cb.log_envelope,
         "bound_intermediate": cb.intermediate,
         "log_bound_intermediate": cb.log_intermediate,
     }
-    if details:
+    if args.details:
         rec["trial_uncovered_counts"] = uncovered
-    _emit(ctx, "cover", {"N": n_universe, "k": k, "m": m, "u": u, "trials": trials}, rec)
+    params = {"N": args.universe, "k": args.k, "m": args.m, "u": args.u, "trials": args.trials}
+    _emit(args, params, rec)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    shown = "[default: %(default)s]"
+    top = argparse.ArgumentParser(
+        prog="ricbounds", allow_abbrev=False,
+        description="Probabilistic bounds on restricted isometry constants of Gaussian "
+        "matrices: asymptotic bound families, finite-size tail probabilities, empirical "
+        "estimates, covering simulations, and recovery phase curves.")
+    top.add_argument("--out", help="Write output to a file.")
+    top.add_argument("--seed", type=int, default=0, help="Root RNG seed. " + shown)
+    top.add_argument("--format", dest="fmt", choices=["csv", "json", "svg"],
+                     help="Output format [default: CSV for tables, key/value text for records].")
+    commands = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name, func) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=func.__doc__.splitlines()[0],
+                                  description=func.__doc__, allow_abbrev=False)
+        sub.set_defaults(func=func)
+        return sub
+
+    p = command("bounds", bounds)
+    p.add_argument("delta", type=float)
+    p.add_argument("rho", type=float)
+    p.add_argument("--family", choices=asymptotic.FAMILIES, default="BT", help=shown)
+    p = command("grid", grid)
+    p.add_argument("--delta-min", type=float, default=0.05, help=shown)
+    p.add_argument("--delta-max", type=float, default=0.9524, help=shown)
+    p.add_argument("--delta-steps", type=int, default=20, help=shown)
+    p.add_argument("--rho-min", type=float, default=0.05, help=shown)
+    p.add_argument("--rho-max", type=float, default=0.95, help=shown)
+    p.add_argument("--rho-steps", type=int, default=20, help=shown)
+    p.add_argument("--families", default="BT", help="Comma-separated subset of BT,BCT,CT. " + shown)
+    p = command("finite", finite_cmd)
+    p.add_argument("k", type=int)
+    p.add_argument("n", type=int)
+    p.add_argument("N", type=int)
+    p.add_argument("--epsilon", type=float, default=1e-3, help=shown)
+    p.add_argument("--side", choices=["upper", "lower"], default="upper", help=shown)
+    p = command("empirical", empirical_cmd)
+    p.add_argument("--n", dest="n_rows", type=int, default=100, help=shown)
+    p.add_argument("--sizes", default="200,400", help="Comma-separated N values. " + shown)
+    p.add_argument("--k-frac", type=float, default=0.05, help="Sparsity rule, 0 < k_frac < 1: "
+                   "k = max(1, round(k_frac * n)). " + shown)
+    p.add_argument("--k", dest="k_fixed", type=int, help="Fixed k overriding --k-frac.")
+    p.add_argument("--restarts", type=int, default=100, help=shown)
+    p = command("phase", phase_cmd)
+    p.add_argument("--delta-steps", type=int, default=50, help=shown)
+    p.add_argument("--delta-min", type=float, default=0.05, help=shown)
+    p.add_argument("--delta-max", type=float, default=0.9524, help=shown)
+    p.add_argument("--families", default="BT",
+                   help="Comma-separated; pass BT,BCT to co-plot both curves. " + shown)
+    p = command("cover", cover_cmd)
+    p.add_argument("--universe", "-N", type=int, required=True, help="Universe size N.")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--u", type=int, help="Supersets to draw, >= 0 [default: ceil(r*N)].")
+    p.add_argument("--trials", type=int, default=100, help=shown)
+    p.add_argument("--details", action="store_true", help="Include per-trial outcomes.")
+    return top
+
+
+PARSER = _build_parser()
 
 
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
-    except click.exceptions.Abort:
+        args = PARSER.parse_args(argv)
+        if args.fmt == "svg" and args.command not in ("grid", "phase"):
+            raise DomainError(f"--format svg draws grid and phase only, not {args.command}")
+        if args.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {args.seed}")
+        args.t0 = time.monotonic()
+        args.func(args)
+    except KeyboardInterrupt:
         sys.exit(1)
     except RicBoundsError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
+    except BrokenPipeError:
+        # stdout's reader left early (`ricbounds grid | head`); devnull takes the exit flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except OSError as exc:
-        click.echo(f"i/o failure: {exc}", err=True)
+        print(f"i/o failure: {exc}", file=sys.stderr)
         sys.exit(5)
     return 0
 

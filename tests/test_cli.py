@@ -1,8 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -26,22 +28,39 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
-def top_level_modules_after_importing_cli() -> set[str]:
-    probe = "import json, sys, ricbounds.cli; print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def top_level_modules_after(statement: str) -> set[str]:
+    probe = (f"import json, sys; {statement}; "
+             "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     return set(json.loads(done.stdout))
 
 
-def test_import_loads_no_scipy():
-    # scipy.optimize alone adds about half a second to interpreter start-up.
-    assert "scipy" not in top_level_modules_after_importing_cli()
+def test_cli_imports_only_the_standard_library():
+    # Every third-party import costs start-up time that a bounds call (well
+    # under a millisecond) never wins back: on a 2-vCPU VM scipy.optimize
+    # takes about half a second, numpy about 0.16 s and click about 18 ms.
+    # empirical and cover import numpy when they run.  Modules that the
+    # interpreter's own start-up loads (site may import a certificate
+    # package, say) do not count.
+    loaded = top_level_modules_after("import ricbounds.cli") - top_level_modules_after("pass")
+    assert loaded - sys.stdlib_module_names == {"ricbounds"}
 
 
-def test_import_loads_no_numpy():
-    # bounds, finite, grid and phase need no numpy; empirical and cover import it.
-    assert "numpy" not in top_level_modules_after_importing_cli()
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # Building the parser costs more than parsing an argv, so it is built
+    # once, at import, and main() only parses.
+    def build(*args, **kwargs):
+        raise AssertionError("main() built an argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", build)
+    code, out, _ = run_cli(capsys, "bounds", "0.5", "0.5", "--family", "CT")
+    assert code == 0
+    assert out
 
 
 def load_schema():
@@ -338,6 +357,12 @@ class TestIO:
         )
         assert code == 5
 
+    def test_out_naming_a_directory_exit_code(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "--out", str(tmp_path), "bounds", "0.5", "0.5")
+        assert code == 5
+        assert out == ""
+        assert "IOFailure" in err
+
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "not-a-number", "0.5")
         assert code == 2
@@ -368,3 +393,47 @@ class TestIO:
         assert code == 2
         assert out == ""
         assert "DomainError" in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--form", "json", "bounds", "0.5", "0.5"),
+        ("finite", "100", "200", "2000", "--epsil", "1e-3"),
+    ], ids=["top-level", "command"])
+    def test_abbreviated_option_is_a_usage_error(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("command, options", [
+        ("bounds", ["--family"]),
+        ("grid", ["--delta-min", "--delta-max", "--delta-steps", "--rho-min", "--rho-max",
+                  "--rho-steps", "--families"]),
+        ("finite", ["--epsilon", "--side"]),
+        ("empirical", ["--n", "--sizes", "--k-frac", "--k", "--restarts"]),
+        ("phase", ["--delta-steps", "--delta-min", "--delta-max", "--families"]),
+        ("cover", ["--universe", "-N", "--k", "--m", "--u", "--trials", "--details"]),
+    ])
+    def test_command_help_names_every_option(self, capsys, command, options):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert set(options) <= set(re.findall(r"--?[A-Za-z][\w-]*", out))
+
+    def test_interrupt_exits_1(self, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(asymptotic, "compute_bounds", interrupted)
+        code, out, err = run_cli(capsys, "bounds", "0.5", "0.5")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # The reader is gone before the command writes, as with `| head`.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen([sys.executable, "-m", "ricbounds.cli", "bounds", "0.5", "0.5"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
