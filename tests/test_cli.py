@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -31,13 +32,24 @@ def run_cli(capsys, *argv):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def top_level_modules_after(statement: str) -> set[str]:
+@functools.cache
+def top_level_modules_after(statement: str) -> frozenset[str]:
     probe = (f"import json, sys; {statement}; "
              "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    return set(json.loads(done.stdout))
+    return frozenset(json.loads(done.stdout))
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize alone adds about half a second to interpreter start-up.
+    assert "scipy" not in top_level_modules_after("import ricbounds.cli")
+
+
+def test_import_loads_no_numpy():
+    # bounds, finite, grid and phase need no numpy; empirical and cover import it.
+    assert "numpy" not in top_level_modules_after("import ricbounds.cli")
 
 
 def test_cli_imports_only_the_standard_library():
