@@ -30,23 +30,15 @@ import time
 # numpy, empirical and covering load inside the commands that use them, so
 # the other commands start without numpy.
 from . import asymptotic, finite
-from .errors import DomainError, IOFailure, RicBoundsError
+from .errors import DomainError, IOFailure, RicBoundsError, check_count
 from .svgfig import curve_svg, heatmap_svg
 
 SCHEMA_VERSION = "1"
 
-GRID_COLUMNS = [
-    "delta",
-    "rho",
-    "family",
-    "L",
-    "U",
-    "lambda_min",
-    "lambda_max",
-    "gamma_min",
-    "gamma_max",
-    "nu_opt",
-]
+# AsymptoticBound fields of a bounds record, in order; a grid row drops the log.
+BOUND_FIELDS = ["delta", "rho", "family", "L", "U", "lambda_min", "lambda_max",
+                "log_lambda_min", "gamma_min", "gamma_max", "nu_opt"]
+GRID_COLUMNS = [c for c in BOUND_FIELDS if c != "log_lambda_min"]
 
 
 def _cell(x) -> str:
@@ -102,19 +94,7 @@ def _emit(args, params: dict, results, *, columns=None, figure=None):
 
 
 def _bound_record(b: asymptotic.AsymptoticBound) -> dict:
-    rec = {
-        "delta": b.delta,
-        "rho": b.rho,
-        "family": b.family,
-        "L": b.L,
-        "U": b.U,
-        "lambda_min": b.lambda_min,
-        "lambda_max": b.lambda_max,
-        "log_lambda_min": b.log_lambda_min,
-        "gamma_min": b.gamma_min,
-        "gamma_max": b.gamma_max,
-        "nu_opt": b.nu_opt,
-    }
+    rec = {c: getattr(b, c) for c in BOUND_FIELDS}
     if b.family == "BT":
         # Residuals of the first-order conditions; null at edge optima,
         # where the condition does not hold with equality.
@@ -133,8 +113,7 @@ def bounds(args) -> None:
 
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 2:
-        raise DomainError(f"steps must be >= 2, got {steps}")
+    check_count("steps", steps, 2)
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
@@ -204,7 +183,8 @@ EMPIRICAL_COLUMNS = ["n", "N", "k", "U_est", "L_est", "U_theory", "L_theory",
 def empirical_cmd(args) -> None:
     """Empirical RIC estimates vs theory across matrix widths.
 
-    Guard violations are reported per cell; the sweep continues.
+    A cell that fails, with a DomainError (say, a size N <= n) or a
+    SolverError, reports it in its error column; the sweep continues.
     """
     from . import empirical
 
@@ -215,12 +195,10 @@ def empirical_cmd(args) -> None:
         raise DomainError(f"sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not n_list or min(n_list) < 1:
         raise DomainError(f"sizes must list positive integers, got {args.sizes!r}")
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
-    if n_rows < 1:
-        raise DomainError(f"n must be >= 1, got {n_rows}")
-    if k_fixed is not None and k_fixed < 1:
-        raise DomainError(f"k must be >= 1, got {k_fixed}")
+    check_count("restarts", restarts, 1)
+    check_count("n", n_rows, 1)
+    if k_fixed is not None:
+        check_count("k", k_fixed, 1)
     if not 0.0 < args.k_frac < 1.0:
         raise DomainError(f"k-frac must be in (0,1), got {args.k_frac}")
     k = k_fixed if k_fixed is not None else max(1, round(args.k_frac * n_rows))
@@ -276,8 +254,7 @@ def cover_cmd(args) -> None:
     import numpy as np
     from . import covering
 
-    if args.trials < 1:
-        raise DomainError(f"trials must be >= 1, got {args.trials}")
+    check_count("trials", args.trials, 1)
     plan = covering.CoveringPlan(N=args.universe, k=args.k, m=args.m, u=args.u)
     rng = np.random.default_rng(args.seed)
     uncovered = [
@@ -374,8 +351,7 @@ def main(argv=None):
         args = PARSER.parse_args(argv)
         if args.fmt == "svg" and args.command not in ("grid", "phase"):
             raise DomainError(f"--format svg draws grid and phase only, not {args.command}")
-        if args.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {args.seed}")
+        check_count("seed", args.seed)
         args.t0 = time.monotonic()
         args.func(args)
     except KeyboardInterrupt:

@@ -18,8 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .empirical import _check_seed
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, check_count
 from .finite import log_covering_failure_bound
 
 __all__ = [
@@ -54,8 +53,8 @@ class CoveringPlan:
 
     u = None (the default) draws ceil(r * N) subsets, the count for which
     the failure-probability lemma is stated; callers may give fewer (they
-    suffice when only most subsets need covering).  A negative u, or a seed
-    that is not a non-negative integer, is a DomainError.
+    suffice when only most subsets need covering).  N, k, m, seed and a
+    given u must be integers, u and seed non-negative, or it is a DomainError.
     """
 
     N: int
@@ -65,15 +64,16 @@ class CoveringPlan:
     u: int | None = None
 
     def __post_init__(self):
+        for name in ("N", "k", "m", "seed"):
+            check_count(name, getattr(self, name))
         if not 0 < self.k <= self.m <= self.N:
             raise DomainError(
                 f"require 0 < k <= m <= N, got ({self.N}, {self.k}, {self.m})"
             )
         if self.u is None:
             object.__setattr__(self, "u", math.ceil(self.r * self.N))
-        elif self.u < 0:
-            raise DomainError(f"u must be >= 0, got {self.u}")
-        _check_seed(self.seed)
+        else:
+            check_count("u", self.u)
 
     @property
     def r(self) -> float:

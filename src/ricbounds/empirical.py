@@ -17,7 +17,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .asymptotic import bt_bounds
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, check_count
 
 __all__ = [
     "MatrixSample",
@@ -81,12 +81,6 @@ class EmpiricalRun:
     swaps_taken: int
 
 
-def _check_seed(seed) -> None:
-    """numpy's SeedSequence takes a non-negative integer; anything else is a DomainError."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def sample_gaussian(n: int, N: int, seed: int) -> MatrixSample:
     """Draw an n x N matrix of i.i.d. N(0, 1/n) entries.
 
@@ -94,9 +88,9 @@ def sample_gaussian(n: int, N: int, seed: int) -> MatrixSample:
     the standard normal transform.  Fixed here so sampled matrices are
     stable across the package.
     """
-    if n < 1 or N < 1:
-        raise DomainError(f"matrix dimensions must be >= 1, got ({n}, {N})")
-    _check_seed(seed)
+    check_count("n", n, 1)
+    check_count("N", N, 1)
+    check_count("seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     entries = rng.standard_normal((n, N)) / math.sqrt(n)
     return MatrixSample(n=n, N=N, seed=seed, entries=entries)
@@ -125,6 +119,7 @@ def exhaustive_ric(
     lexicographic order to attain lambda^max and lambda^min, solved in
     chunks by `_first_extremes`.  Guarded: refuses when C(N, k) exceeds 1e6.
     """
+    check_count("k", k)
     if not 0 < k <= sample.N:
         raise DomainError(f"k must be in [1, N], got {k}")
     count = math.comb(sample.N, k)
@@ -286,11 +281,11 @@ def local_search(
     """
     if mode not in ("upper", "lower"):
         raise DomainError(f"mode must be 'upper' or 'lower', got {mode!r}")
+    check_count("k", k)
     if not 0 < k < sample.N:
         raise DomainError(f"k must be in [1, N), got {k}")
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
-    _check_seed(seed)
+    check_count("restarts", restarts, 1)
+    check_count("seed", seed)
     sign = 1.0 if mode == "upper" else -1.0
     ext = -1 if mode == "upper" else 0
     gram_full = sample.gram

@@ -1,8 +1,11 @@
-"""Semantic exception hierarchy shared by all modules.
+"""Semantic exception hierarchy shared by all modules, and the one rule
+for integer inputs.
 
 Each class maps to a CLI exit code so command-line failures are
 machine-distinguishable.
 """
+
+from numbers import Integral
 
 
 class RicBoundsError(Exception):
@@ -33,3 +36,10 @@ class IOFailure(RicBoundsError, OSError):
     """Output could not be written (exit code 5)."""
 
     exit_code = 5
+
+
+def check_count(name: str, value, least: int = 0) -> None:
+    """Raise DomainError unless value is an integer (Python or numpy, not
+    bool) of at least `least`: the rule for every size, count and seed."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -20,7 +20,7 @@ from .asymptotic import (
     optimize_gamma_for_max,
     optimize_gamma_for_min,
 )
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .rates import _net_max_raw, _net_min_log_lambda
 
 __all__ = [
@@ -38,7 +38,7 @@ _LOG_54_CUBED = 3.0 * math.log(1.25)
 
 @dataclass(frozen=True)
 class FiniteInstance:
-    """A concrete problem size (k, n, N) with tail slack epsilon."""
+    """A concrete problem size (k, n, N), integers, with tail slack epsilon."""
 
     k: int
     n: int
@@ -46,6 +46,8 @@ class FiniteInstance:
     epsilon: float
 
     def __post_init__(self):
+        for name in ("k", "n", "N"):
+            check_count(name, getattr(self, name))
         if not (0 < self.k < self.n < self.N):
             raise DomainError(f"require 0 < k < n < N, got ({self.k}, {self.n}, {self.N})")
         if not 0.0 < self.epsilon < math.inf:

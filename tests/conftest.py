@@ -10,7 +10,7 @@ def pytest_addoption(parser):
         "--run-extended",
         action="store_true",
         default=False,
-        help="run long (hours-scale) reproduction tests",
+        help="run long (half-minute) reproduction tests",
     )
 
 

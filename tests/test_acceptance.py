@@ -342,7 +342,7 @@ def test_criterion_10_property_suites():
 
 @pytest.mark.extended
 def test_extended_sharpness_at_n_400():
-    """Hours-scale reproduction of the published sharpness envelope at n=400."""
+    """Reproduction of the published sharpness envelope at n=400 (about half a minute)."""
     ratios = []
     for N in (800, 2000, 4000, 8000):
         for rho in (0.02, 0.05):

@@ -264,6 +264,21 @@ class TestEmpirical:
         assert float(row["ratio_U"]) >= 1.0
         assert row["error"] == ""
 
+    def test_cell_matches_the_library(self, capsys):
+        # The command repeats sharpness_ratio's pipeline; the two must agree to the bit.
+        from ricbounds.empirical import local_search, sample_gaussian, sharpness_ratio
+
+        _, out, _ = run_cli(
+            capsys, "--seed", "5", "empirical", "--n", "20", "--sizes", "40",
+            "--k", "2", "--restarts", "3",
+        )
+        row = next(csv.DictReader(io.StringIO(out)))
+        sample = sample_gaussian(20, 40, 5)
+        for mode, column in (("upper", "U_est"), ("lower", "L_est")):
+            assert float(row[column]) == local_search(sample, 2, mode, restarts=3, seed=5).estimate
+        ratios = sharpness_ratio(2, 20, 40, seed=5, restarts=3)
+        assert (float(row["ratio_U"]), float(row["ratio_L"])) == ratios
+
     def test_tiny_instance_matches_exhaustive(self, capsys):
         from ricbounds.empirical import exhaustive_ric, sample_gaussian
 

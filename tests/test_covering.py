@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,10 +55,26 @@ class TestPlan:
         with pytest.raises(DomainError):
             CoveringPlan(N=12, k=3, m=6, seed=0, u=-5)
 
-    @pytest.mark.parametrize("seed", [-1, 1.0])
+    @pytest.mark.parametrize("plan", [dict(N=12.0, k=3, m=6), dict(N=12, k=3.0, m=6),
+                                      dict(N=12, k=3, m=True), dict(N=12, k=3, m=6, u=2.5)])
+    def test_non_integer_counts_rejected(self, plan):
+        with pytest.raises(DomainError, match="must be an integer"):
+            CoveringPlan(**plan)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError, match="seed"):
             CoveringPlan(N=12, k=3, m=6, seed=seed)
+
+
+def test_import_loads_no_empirical():
+    # covering needs the integer-input rule and the failure bound, not the
+    # Gaussian sampler or local search.
+    probe = "import sys, ricbounds.covering; print('ricbounds.empirical' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def _oracle_uncovered(plan: CoveringPlan) -> int:

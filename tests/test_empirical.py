@@ -42,8 +42,9 @@ class TestSampling:
         assert np.mean(np.sum(s.entries**2, axis=0)) == pytest.approx(1.0, rel=0.05)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sample_gaussian(0, 5, 1)
+        for n, N in [(0, 5), (2.5, 10), (5, 10.0), (True, 10)]:
+            with pytest.raises(DomainError):
+                sample_gaussian(n, N, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["one", "all"])
@@ -310,8 +311,17 @@ class TestLocalSearch:
 
     def test_restarts_validation(self):
         s = sample_gaussian(6, 10, 1)
-        with pytest.raises(DomainError):
-            local_search(s, 2, "upper", restarts=0)
+        for restarts in (0, 2.0, True):
+            with pytest.raises(DomainError, match="restarts"):
+                local_search(s, 2, "upper", restarts=restarts)
+
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_non_integer_k_rejected(self, k):
+        s = sample_gaussian(6, 10, 1)
+        with pytest.raises(DomainError, match="k must be an integer"):
+            local_search(s, k, "upper", restarts=1)
+        with pytest.raises(DomainError, match="k must be an integer"):
+            exhaustive_ric(s, k)
 
     def test_one_eigendecomposition_per_visited_support(self, monkeypatch):
         calls = []
@@ -348,7 +358,7 @@ class TestLocalSearch:
         entries[:, 7] = entries[:, 3]
         assert exhaustive_ric(MatrixSample(6, 10, seed, entries), 3)[0] == 1.0
 
-    @pytest.mark.parametrize("seed", [-1, 1.0, "1"])
+    @pytest.mark.parametrize("seed", [-1, 1.0, "1", True])
     def test_seed_validation(self, seed):
         with pytest.raises(DomainError, match="seed"):
             sample_gaussian(5, 10, seed)

@@ -230,6 +230,9 @@ class TestTailBounds:
     def test_instance_validation(self):
         with pytest.raises(DomainError):
             FiniteInstance(200, 200, 2000, 1e-3)
+        # Sizes are counts: a matrix with 2.5 columns has no tail bound.
+        with pytest.raises(DomainError, match="k must be an integer"):
+            FiniteInstance(2.5, 10, 20, 1e-3)
         with pytest.raises(DomainError):
             FiniteInstance(100, 200, 2000, 0.0)
 
