@@ -45,6 +45,10 @@ L1_THRESHOLD = math.sqrt(2.0) - 1.0
 RESIDUAL_TOL = 1e-12
 # Step in u = ln(gamma - rho), at most as much relative in gamma, that ends a BT search.
 GAMMA_TOL = 1e-12
+_LOWER_CAP = 1.0 - 1e-9  # top of the lower BT gamma search's interval [rho, _LOWER_CAP]
+# BCT's right nu end stays a hair inside rho < 1, where the lambda solves are
+# defined; the bound there is continuous in nu.
+_NU_TOP = 1.0 - 1e-12
 
 # Step cap of the root loops: the BT gamma search and the phase search.
 _ROOT_STEPS = 200
@@ -286,10 +290,9 @@ def optimize_gamma_for_min(delta: float, rho: float) -> GammaOptimum:
     psi_min = H(gamma)/2 at the foot and dF/d ln lambda > 0 below it.
     """
     _validate_point(delta, rho)
-    g_cap = 1.0 - 1e-9
-    if g_cap <= rho:
+    if _LOWER_CAP <= rho:
         return GammaOptimum(rho, solve_lambda_min(delta, rho, rho), True, -math.inf)
-    return _gamma_search(-1.0, delta, rho, g_cap, solve_lambda_min)
+    return _gamma_search(-1.0, delta, rho, _LOWER_CAP, solve_lambda_min)
 
 
 def _bound(family, delta, rho, log_max, log_min, **groups) -> AsymptoticBound:
@@ -310,6 +313,13 @@ def bt_bounds(delta: float, rho: float) -> AsymptoticBound:
                   log_gamma_offset_min=upper.log_offset, log_gamma_offset_max=lower.log_offset)
 
 
+def _bct_upper(rho, log_rho, log_top):
+    """BCT's (nu_opt, ln lambda^max) at the lower of its nu ends, rho and
+    max(rho, _NU_TOP): nu never drops below rho, where the bound would not
+    cover sparsity rho.  A tie keeps rho."""
+    return (max(rho, _NU_TOP), log_top) if log_top < log_rho else (rho, log_rho)
+
+
 def bct_bounds(delta: float, rho: float) -> AsymptoticBound:
     """gamma = rho bounds, upper side tightened over relaxed sparsity.
 
@@ -324,19 +334,14 @@ def bct_bounds(delta: float, rho: float) -> AsymptoticBound:
     + ln((1 - nu delta)/(nu delta)).  Wherever g = 0, lambda' = 0 too, so
     there g'(nu) = -1/(2 nu) - delta/(1 - nu delta) - 1/nu < 0: g crosses
     zero at most once, downward, so lambda rises and then may fall and has
-    no interior minimum.  The two ends are compared in ln lambda; a tie
-    keeps rho.
+    no interior minimum.  _bct_upper compares the two ends in ln lambda.
+    The nu = _NU_TOP end does not depend on rho: the phase curve solves it
+    once per curve, so its points take two lambda solves, not three.
     """
     _validate_point(delta, rho)
-    log_min = solve_lambda_min(delta, rho, rho)
-    nu_opt, log_max = rho, solve_lambda_max(delta, rho, rho)
-    # The right end stays a hair inside rho < 1, where the exponent solver
-    # is defined; the bound there is continuous in nu.  It never drops
-    # below rho, where the bound would not cover sparsity rho.
-    nu_top = max(rho, 1.0 - 1e-12)
-    log_top = solve_lambda_max(delta, nu_top, nu_top)
-    if log_top < log_max:
-        nu_opt, log_max = nu_top, log_top
+    log_min, nu_top = solve_lambda_min(delta, rho, rho), max(rho, _NU_TOP)
+    log_rho, log_top = solve_lambda_max(delta, rho, rho), solve_lambda_max(delta, nu_top, nu_top)
+    nu_opt, log_max = _bct_upper(rho, log_rho, log_top)
     return _bound("BCT", delta, rho, log_max, log_min, gamma_min=rho, gamma_max=rho, nu_opt=nu_opt)
 
 
@@ -360,27 +365,59 @@ def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
     raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
 
 
-def l1_phase_transition(delta: float, family: str = "BT") -> float:
-    """Largest rho where max(L, U) < sqrt(2) - 1 under the given family.
+def _max_bound(family: str, delta: float):
+    """rho -> max(L, U), bit for bit max(b.L, b.U) of compute_bounds(family,
+    delta, rho), solving only the side that sets the max.  BT solves
+    lambda^min once at the upper search's gamma, clamped into the lower
+    search's [rho, _LOWER_CAP]: no gamma there gives an L below the lower
+    search's, so where this L lies under U by more than 1e-9 (1 + U), the
+    max is U and that search is skipped.  The slack covers rounding only:
+    each closed-form solve is good to a few ulps of ln lambda, and a search
+    stopped within GAMMA_TOL of its root moves L by O(GAMMA_TOL^2).  BCT
+    solves its nu = _NU_TOP end once per curve; CT runs compute_bounds."""
+    if family == "BCT":
+        log_top = solve_lambda_max(delta, _NU_TOP, _NU_TOP)
 
-    Bracketed secant on the margin m(rho) = (sqrt(2) - 1) - max(L, U), which
-    is close to linear in sqrt(rho).  lo is the newest rho with m > 0 (from
-    1e-7) and hi the newest with m <= 0; the first probe is 2e-3.  Each step
-    is the secant root in sqrt(rho) through the two newest points, kept at
-    least 5e-9 inside [lo, hi].  Until hi is found, a step that does not point
-    above lo moves to 3 lo - 2e-7 instead, capped at 1 - 1e-12, where m > 0
-    raises SolverError.  Once bracketed, the search bisects where the secant
-    root leaves (lo, hi) or where the newest step was more than half as long
-    as the one before it (Brent's rule).  It stops when hi - lo <= 1e-8 and
-    returns lo.  Monotone feasibility in rho is assumed and spot-checked at
-    fractions of the returned value.  Returns 0.0 when even m(1e-7) <= 0.
-    """
-    _validate_point(delta, 0.5)
-
-    def margin(rho: float) -> float:
+    def max_bound(rho):
+        if family == "BT":
+            upper = optimize_gamma_for_max(delta, rho)
+            u = math.expm1(upper.value)
+            gamma = max(rho, min(upper.gamma, _LOWER_CAP))
+            if -math.expm1(solve_lambda_min(delta, rho, gamma)) < u - 1e-9 * (1.0 + u):
+                return u
+            return max(-math.expm1(optimize_gamma_for_min(delta, rho).value), u)
+        if family == "BCT":
+            log_min, log_max = solve_lambda_min(delta, rho, rho), solve_lambda_max(delta, rho, rho)
+            log_max = _bct_upper(rho, log_max, log_top if rho < _NU_TOP else log_max)[1]
+            return max(-math.expm1(log_min), math.expm1(log_max))
         b = compute_bounds(family, delta, rho)
-        return L1_THRESHOLD - max(b.L, b.U)
+        return max(b.L, b.U)
 
+    return max_bound
+
+
+def l1_phase_transition(delta: float, family: str = "BT") -> float:
+    """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by
+    _phase_search on (sqrt(2) - 1) - _max_bound.  L and U bound RICs of order
+    k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
+    _validate_point(delta, 0.5)
+    max_bound = _max_bound(family, delta)
+    return _phase_search(lambda rho: L1_THRESHOLD - max_bound(rho), delta)
+
+
+def _phase_search(margin, delta: float) -> float:
+    """Largest rho with margin m(rho) > 0 (delta only names the curve in errors),
+    by a bracketed secant in sqrt(rho), in which m is close to linear.  lo is
+    the newest rho with m > 0 (from 1e-7) and hi the newest with m <= 0; the
+    first probe is 2e-3.  Each step is the secant root in sqrt(rho) through
+    the two newest points, kept at least 5e-9 inside [lo, hi].  Until hi is
+    found, a step that does not point above lo moves to 3 lo - 2e-7 instead,
+    capped at 1 - 1e-12, where m > 0 raises SolverError.  Once bracketed, it
+    bisects where the secant root leaves (lo, hi) or where the newest step
+    was more than half as long as the one before it (Brent's rule).  It stops
+    when hi - lo <= 1e-8 and returns lo.  Monotone feasibility in rho is
+    assumed and spot-checked at fractions of lo.  Returns 0.0 when even
+    m(1e-7) <= 0."""
     start, top, tol = 1e-7, 1.0 - 1e-12, 1e-8
     m_old = margin(start)
     if not m_old > 0.0:

@@ -39,6 +39,8 @@ def min_group_count(N: int, k: int, m: int) -> float:
     Exact: the quotient of the two integers is rounded once, correctly, at
     any size.  A quotient beyond the double range raises GuardError.
     """
+    for name, value in (("N", N), ("k", k), ("m", m)):
+        check_count(name, value)
     if not 0 < k <= m <= N:
         raise DomainError(f"require 0 < k <= m <= N, got ({N}, {k}, {m})")
     try:

@@ -1,7 +1,6 @@
 import math
 import random
 import re
-import types
 
 import mpmath
 import pytest
@@ -13,6 +12,8 @@ from ricbounds.asymptotic import (
     FAMILIES,
     L1_THRESHOLD,
     _lambert_y,
+    _max_bound,
+    _phase_search,
     bct_bounds,
     bt_bounds,
     compute_bounds,
@@ -445,9 +446,12 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls):
-        # 126 to 142 (BT) and 48 to 54 (BCT), with two evaluations per lambda
-        # solve; the looser ceilings above are part of those tests' ids.
-        for family, ceiling in (("BT", 150), ("BCT", 56)):
+        # 79 to 89 (BT) and 34 to 38 (BCT) over 401 deltas in [0.05, 0.95]
+        # and five from 0.001 to 0.999, with two evaluations per lambda
+        # solve: BT skips the lower gamma search and BCT solves its nu =
+        # 1 - 1e-12 end once per curve.  The looser ceilings above are part
+        # of those tests' ids.
+        for family, ceiling in (("BT", 95), ("BCT", 40)):
             net_calls[0] = 0
             l1_phase_transition(d, family)
             assert net_calls[0] <= ceiling
@@ -459,16 +463,82 @@ class TestPhaseTransition:
         # spot checks; the search ends on a bracket no wider than 1e-8.
         seen = []
 
-        def counted(fam, delta, rho):
-            b = compute_bounds(fam, delta, rho)
-            seen.append((rho, L1_THRESHOLD - max(b.L, b.U)))
-            return b
+        def spied(margin, delta):
+            def counted(rho):
+                m = margin(rho)
+                seen.append((rho, m))
+                return m
 
-        monkeypatch.setattr(asymptotic, "compute_bounds", counted)
+            return _phase_search(counted, delta)
+
+        monkeypatch.setattr(asymptotic, "_phase_search", spied)
         rho_star = l1_phase_transition(d, family)
         assert len(seen) <= 9
         assert dict(seen)[rho_star] > 0.0
         assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
+
+
+@pytest.fixture
+def gamma_searches(monkeypatch):
+    """Counts the upper and lower BT gamma searches made through asymptotic."""
+    calls = {"upper": 0, "lower": 0}
+
+    def counted(side, fn):
+        def wrapper(*args):
+            calls[side] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(asymptotic, "optimize_gamma_for_max", counted("upper", optimize_gamma_for_max))
+    monkeypatch.setattr(asymptotic, "optimize_gamma_for_min", counted("lower", optimize_gamma_for_min))
+    return calls
+
+
+def outcome(fn):
+    """fn(), or the type of the package error it raised."""
+    try:
+        return fn()
+    except RicBoundsError as err:
+        return type(err)
+
+
+class TestMaxBound:
+    """The phase curve's max(L, U), which solves only the side that sets it."""
+
+    @given(
+        st.sampled_from(["BT", "BCT"]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.one_of(
+            st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+            st.floats(min_value=-12.0, max_value=-1.0).map(lambda x: 10.0**x),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_max_of_compute_bounds(self, family, d, r):
+        def reference():
+            b = compute_bounds(family, d, r)
+            return max(b.L, b.U)
+
+        assert outcome(lambda: _max_bound(family, d)(r)) == outcome(reference)
+
+    def test_lower_search_runs_where_u_barely_leads(self, gamma_searches):
+        # U - L is only 1.2e-10 here, inside the 1e-9 (1 + U) slack, so the
+        # lower search must settle max(L, U).
+        b = bt_bounds(0.5, 1e-12)
+        assert 0.0 < b.U - b.L < 1e-9
+        gamma_searches.update(upper=0, lower=0)
+        assert _max_bound("BT", 0.5)(1e-12) == max(b.L, b.U)
+        assert gamma_searches == {"upper": 1, "lower": 1}
+
+    @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
+    def test_bt_curve_skips_the_lower_search(self, d, gamma_searches):
+        # Six margins and three spot checks, each one upper search.  U leads
+        # L by far more than the slack at every rho the curve probes (by
+        # about 0.09 at rho*), so no lower search runs.
+        l1_phase_transition(d, "BT")
+        assert gamma_searches["upper"] <= 9
+        assert gamma_searches["lower"] == 0
 
 
 class TestPhaseSearch:
@@ -490,19 +560,16 @@ class TestPhaseSearch:
 
     @staticmethod
     def search(margin):
-        """rho* from l1_phase_transition on margin(rho), and every (rho,
-        margin) pair it evaluated, spot checks included."""
+        """rho* from the phase search on margin(rho), and every (rho, margin)
+        pair it evaluated, spot checks included."""
         seen = []
 
-        def fake(family, delta, rho):
+        def counted(rho):
             m = margin(rho)
             seen.append((rho, m))
-            return types.SimpleNamespace(L=-m, U=-m)
+            return m
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(asymptotic, "L1_THRESHOLD", 0.0)
-            mp.setattr(asymptotic, "compute_bounds", fake)
-            return l1_phase_transition(0.5), seen
+        return _phase_search(counted, 0.5), seen
 
     @given(st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)), st.sampled_from(sorted(SHAPES)))
     @settings(max_examples=300, deadline=None)

@@ -41,6 +41,16 @@ class TestMinGroupCount:
         with pytest.raises(DomainError):
             min_group_count(10, 5, 4)
 
+    @pytest.mark.parametrize("args", [(12.0, 3, 6), (12, True, 6), (12, 3, 6.0)])
+    def test_non_integer_counts_rejected(self, args):
+        # A float once reached math.comb as an untyped TypeError, and a bool
+        # was taken as 1.
+        with pytest.raises(DomainError, match="must be an integer"):
+            min_group_count(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert min_group_count(np.int64(12), np.int32(3), np.uint8(6)) == 11.0
+
 
 class TestPlan:
     def test_default_u(self):
