@@ -222,6 +222,12 @@ def stationarity_residual(b: AsymptoticBound, side: str) -> float | None:
     return log_lam - math.log1p(sign * gamma) - _first_order_y(sign, gamma, log_offset)
 
 
+def _search_start(sign, delta, rho, u_edge):
+    """A BT gamma search's start: the root of g = |y(rho)| - 3 ln rho + ln(1 + sign rho) + 2u, capped at u_edge - 1."""
+    eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
+    return min(-0.5 * (sign * (_lambert_y(eps, sign) - _first_order_y(sign, rho, 0.0))), u_edge - 1.0)
+
+
 def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
     """Shared body of the BT gamma searches: safeguarded Newton on u = ln(gamma - rho).
 
@@ -233,13 +239,13 @@ def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
     it, so g > 0 exactly where lambda_1 lies between the foot and F's root:
     g <= 0 at g_edge puts the optimum there, else g's root is the optimum.
     g' = 2 - o((y_1 + eps) / (a expm1(y)) + 3/gamma - sign/a), as d eps/d gamma
-    = -sign (y_1 + eps) / a.  For o << rho, g = |y(rho)| - 3 ln rho + ln(1 +
-    sign rho) + 2u, a line; the search starts at its root, capped one below
-    the edge.  g is concave below its root, so Newton steps from g <= 0 stay
-    below it and one from above lands below it.  A step that leaves the
-    bracket of known signs, or meets a slope <= 0, bisects it, or while no
-    g <= 0 is known steps down by twice its distance from the edge.  It stops
-    on a step below max(GAMMA_TOL / 2, 2 ulp(u)) (u reaches -8e7), taking it.
+    = -sign (y_1 + eps) / a.  It starts at _search_start.  g is concave below
+    its root, so Newton steps from g <= 0 stay below it and one from above
+    lands below it.  A step that leaves the bracket of known signs, or meets
+    a slope <= 0, bisects it, or while no g <= 0 is known steps down by twice
+    its distance from the edge.  The bracket's top is the edge, where g is
+    evaluated only once a step reaches it before any g > 0 is seen.  It
+    stops on a step below max(GAMMA_TOL / 2, 2 ulp(u)) (u reaches -8e7), taking it.
     """
 
     def gap(u, o):
@@ -250,16 +256,15 @@ def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
         return sign * (y - y1), 2.0 - o * ((y1 + eps) / (a * math.expm1(y)) + 3.0 / gamma - sign / a)
 
     u_edge = math.log(g_edge - rho)
-    if gap(u_edge, math.exp(u_edge))[0] <= 0.0:
-        return GammaOptimum(g_edge, solve(delta, rho, g_edge), True, u_edge)
-    lo, hi = -math.inf, u_edge
-    u = min(-0.5 * gap(0.0, 0.0)[0], u_edge - 1.0)  # the line's root, from g at o = 0
+    lo, hi, u = -math.inf, u_edge, _search_start(sign, delta, rho, u_edge)
     for _ in range(_ROOT_STEPS):
         g, slope = gap(u, math.exp(u))
         lo, hi = (lo, u) if g > 0.0 else (u, hi)
         x = u - g / slope if slope > 0.0 else -math.inf
         if abs(x - u) <= max(0.5 * GAMMA_TOL, 2.0 * math.ulp(u)):
             break
+        if x >= hi == u_edge and gap(u_edge, math.exp(u_edge))[0] <= 0.0:
+            return GammaOptimum(g_edge, solve(delta, rho, g_edge), True, u_edge)
         u = x if lo < x < hi else 0.5 * (lo + hi) if lo > -math.inf else 3.0 * hi - 2.0 * u_edge
     else:
         raise SolverError(f"gamma search left [{lo!r}, {hi!r}] unresolved (delta={delta}, rho={rho})")
@@ -365,15 +370,30 @@ def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
     raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
 
 
+def _below_by_slack(a: float, b: float) -> bool:
+    """a < b by more than 1e-9 (1 + b), which covers rounding only: a closed-form
+    lambda solve's few ulps, and O(GAMMA_TOL^2) from where a gamma search stops."""
+    return a < b - 1e-9 * (1.0 + b)
+
+
+def _bt_lower_at(delta, rho, gamma):
+    """L at gamma clamped into [rho, _LOWER_CAP]: never below the lower search's L."""
+    return -math.expm1(solve_lambda_min(delta, rho, max(rho, min(gamma, _LOWER_CAP))))
+
+
+def _bt_certified(delta, rho):
+    """True when U and L at the gamma where the upper search starts, which
+    bound BT's optimized U and L from above, both lie below sqrt(2) - 1."""
+    gamma = rho + math.exp(_search_start(1.0, delta, rho, math.log(1.0 / delta - rho)))
+    upper = math.expm1(solve_lambda_max(delta, rho, gamma))
+    return _below_by_slack(max(upper, _bt_lower_at(delta, rho, gamma)), L1_THRESHOLD)
+
+
 def _max_bound(family: str, delta: float):
     """rho -> max(L, U), bit for bit max(b.L, b.U) of compute_bounds(family,
     delta, rho), solving only the side that sets the max.  BT solves
-    lambda^min once at the upper search's gamma, clamped into the lower
-    search's [rho, _LOWER_CAP]: no gamma there gives an L below the lower
-    search's, so where this L lies under U by more than 1e-9 (1 + U), the
-    max is U and that search is skipped.  The slack covers rounding only:
-    each closed-form solve is good to a few ulps of ln lambda, and a search
-    stopped within GAMMA_TOL of its root moves L by O(GAMMA_TOL^2).  BCT
+    _bt_lower_at the upper search's gamma; where that L lies below U by
+    _below_by_slack, the max is U and the lower search is skipped.  BCT
     solves its nu = _NU_TOP end once per curve; CT runs compute_bounds."""
     if family == "BCT":
         log_top = solve_lambda_max(delta, _NU_TOP, _NU_TOP)
@@ -382,8 +402,7 @@ def _max_bound(family: str, delta: float):
         if family == "BT":
             upper = optimize_gamma_for_max(delta, rho)
             u = math.expm1(upper.value)
-            gamma = max(rho, min(upper.gamma, _LOWER_CAP))
-            if -math.expm1(solve_lambda_min(delta, rho, gamma)) < u - 1e-9 * (1.0 + u):
+            if _below_by_slack(_bt_lower_at(delta, rho, upper.gamma), u):
                 return u
             return max(-math.expm1(optimize_gamma_for_min(delta, rho).value), u)
         if family == "BCT":
@@ -397,15 +416,16 @@ def _max_bound(family: str, delta: float):
 
 
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
-    """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by
-    _phase_search on (sqrt(2) - 1) - _max_bound.  L and U bound RICs of order
-    k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
+    """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by _phase_search
+    on (sqrt(2) - 1) - _max_bound, with _bt_certified for BT's spot checks.  L and U bound RICs
+    of order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
     _validate_point(delta, 0.5)
     max_bound = _max_bound(family, delta)
-    return _phase_search(lambda rho: L1_THRESHOLD - max_bound(rho), delta)
+    certified = (lambda rho: _bt_certified(delta, rho)) if family == "BT" else None
+    return _phase_search(lambda rho: L1_THRESHOLD - max_bound(rho), delta, certified)
 
 
-def _phase_search(margin, delta: float) -> float:
+def _phase_search(margin, delta: float, certified=None) -> float:
     """Largest rho with margin m(rho) > 0 (delta only names the curve in errors),
     by a bracketed secant in sqrt(rho), in which m is close to linear.  lo is
     the newest rho with m > 0 (from 1e-7) and hi the newest with m <= 0; the
@@ -416,8 +436,8 @@ def _phase_search(margin, delta: float) -> float:
     bisects where the secant root leaves (lo, hi) or where the newest step
     was more than half as long as the one before it (Brent's rule).  It stops
     when hi - lo <= 1e-8 and returns lo.  Monotone feasibility in rho is
-    assumed and spot-checked at fractions of lo.  Returns 0.0 when even
-    m(1e-7) <= 0."""
+    assumed and spot-checked at fractions of lo, by certified(rho) if given
+    and true (a cheaper proof of m > 0), else by m.  Returns 0.0 when even m(1e-7) <= 0."""
     start, top, tol = 1e-7, 1.0 - 1e-12, 1e-8
     m_old = margin(start)
     if not m_old > 0.0:
@@ -447,7 +467,7 @@ def _phase_search(margin, delta: float) -> float:
     else:
         raise SolverError(f"phase search left [{lo!r}, {hi!r}] wider than {tol:g} (delta={delta})")
     for frac in (0.25, 0.5, 0.9):
-        if not margin(frac * lo) > 0.0:
+        if not (certified is not None and certified(frac * lo) or margin(frac * lo) > 0.0):
             raise SolverError(
                 f"feasibility not monotone below rho*={lo} at delta={delta}"
             )

@@ -11,6 +11,8 @@ from ricbounds import asymptotic
 from ricbounds.asymptotic import (
     FAMILIES,
     L1_THRESHOLD,
+    GammaOptimum,
+    _bt_certified,
     _lambert_y,
     _max_bound,
     _phase_search,
@@ -297,14 +299,15 @@ class TestGammaOptimizers:
 
     @pytest.mark.parametrize("d, r", [(0.5, 0.5), (0.05, 0.95), (0.001, 0.001), (0.5, 0.999)])
     def test_bt_takes_few_evaluations(self, d, r, net_calls):
-        # 8 to 18 here: at most seven gap evaluations per search, plus two per lambda solve.
+        # 11 to 16 here: at most seven gap evaluations per search, plus two per lambda solve.
         bt_bounds(d, r)
         assert net_calls[0] <= 20
 
     def test_small_rho_gamma_search_takes_few_evaluations(self, net_calls):
-        # Edge test, start, four Newton steps and the lambda solve's two.
+        # Start, four Newton steps and the lambda solve's two; the optimum is
+        # interior, so the edge is never evaluated.
         g = optimize_gamma_for_max(0.5, 0.003)
-        assert net_calls[0] <= 10
+        assert net_calls[0] <= 9
         assert abs(_net_max_raw(math.exp(g.value), 0.5, 0.003, g.gamma)) <= 1e-12
 
     def test_step_cap_raises(self, monkeypatch):
@@ -319,8 +322,19 @@ class TestGammaOptimizers:
         # one ulp of u exceeds 1e-12, so a stop on an absolute width alone
         # never ends; the start is exact there.
         g = optimize_gamma_for_min(d, 1.0 - 1e-7)
-        assert net_calls[0] <= 6
+        assert net_calls[0] <= 5
         assert g.gamma == 1.0 - 1e-7 and math.ulp(g.log_offset) > 1e-12
+
+    @pytest.mark.parametrize("d, r, optimum", [
+        (0.5, 0.999, GammaOptimum(2.0, 2.049119428425847, True, 0.0009995003330834232)),
+        (0.7017, 0.95, GammaOptimum(1.4251104460595696, 1.8618066735581524, True, -0.7442079839554745)),
+    ])
+    def test_edge_optima_are_pinned(self, d, r, optimum, net_calls):
+        # The edge 1/delta is evaluated only once a Newton step reaches it,
+        # with the same GammaOptimum as when it was evaluated first; that
+        # costs (0.5, 0.999) seven evaluations instead of three.
+        assert optimize_gamma_for_max(d, r) == optimum
+        assert net_calls[0] <= 7
 
     @pytest.mark.parametrize("d, r", [(0.1, 0.5), (0.8, 0.8)])
     def test_each_optimizer_solves_lambda_once(self, d, r, monkeypatch):
@@ -446,12 +460,13 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls):
-        # 79 to 89 (BT) and 34 to 38 (BCT) over 401 deltas in [0.05, 0.95]
+        # 59 to 68 (BT) and 34 to 38 (BCT) over 401 deltas in [0.05, 0.95]
         # and five from 0.001 to 0.999, with two evaluations per lambda
-        # solve: BT skips the lower gamma search and BCT solves its nu =
-        # 1 - 1e-12 end once per curve.  The looser ceilings above are part
-        # of those tests' ids.
-        for family, ceiling in (("BT", 95), ("BCT", 40)):
+        # solve: BT skips the lower gamma search and certifies its spot
+        # checks with two lambda solves, and BCT solves its nu = 1 - 1e-12
+        # end once per curve.  The looser ceilings above are part of those
+        # tests' ids.
+        for family, ceiling in (("BT", 70), ("BCT", 40)):
             net_calls[0] = 0
             l1_phase_transition(d, family)
             assert net_calls[0] <= ceiling
@@ -460,16 +475,17 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_point_takes_few_bound_calls(self, d, family, monkeypatch):
         # At most six margins for the search, from rho = 1e-7 on, and three
-        # spot checks; the search ends on a bracket no wider than 1e-8.
+        # spot checks, which BT certifies without a margin; the search ends
+        # on a bracket no wider than 1e-8.
         seen = []
 
-        def spied(margin, delta):
+        def spied(margin, delta, certified=None):
             def counted(rho):
                 m = margin(rho)
                 seen.append((rho, m))
                 return m
 
-            return _phase_search(counted, delta)
+            return _phase_search(counted, delta, certified)
 
         monkeypatch.setattr(asymptotic, "_phase_search", spied)
         rho_star = l1_phase_transition(d, family)
@@ -533,12 +549,29 @@ class TestMaxBound:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_bt_curve_skips_the_lower_search(self, d, gamma_searches):
-        # Six margins and three spot checks, each one upper search.  U leads
-        # L by far more than the slack at every rho the curve probes (by
-        # about 0.09 at rho*), so no lower search runs.
+        # Six margins, each one upper search; the spot checks are certified
+        # without one.  U leads L by far more than the slack at every rho
+        # the curve probes (by about 0.09 at rho*), so no lower search runs.
         l1_phase_transition(d, "BT")
-        assert gamma_searches["upper"] <= 9
+        assert gamma_searches["upper"] <= 6
         assert gamma_searches["lower"] == 0
+
+    @given(
+        st.floats(min_value=1e-3, max_value=0.999),
+        st.one_of(st.floats(min_value=1e-5, max_value=300.0), st.floats(min_value=1.0, max_value=1.0 + 1e-5)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_implies_a_positive_margin(self, d, f):
+        # The certificate proves max(L, U) < sqrt(2) - 1 from U and L at the
+        # upper search's start, which bound the optimized U and L from above.
+        # At rho* + 1e-8, past the search's infeasible bracket end, the
+        # margin is not positive, so the certificate must fail there.
+        rho_star, max_bound = l1_phase_transition(d, "BT"), _max_bound("BT", d)
+        above = rho_star + 1e-8
+        assert not L1_THRESHOLD - max_bound(above) > 0.0 and not _bt_certified(d, above)
+        r = min(f * rho_star, 0.999)
+        if _bt_certified(d, r):
+            assert L1_THRESHOLD - max_bound(r) > 0.0
 
 
 class TestPhaseSearch:
@@ -559,7 +592,7 @@ class TestPhaseSearch:
     }
 
     @staticmethod
-    def search(margin):
+    def search(margin, certified=None):
         """rho* from the phase search on margin(rho), and every (rho, margin)
         pair it evaluated, spot checks included."""
         seen = []
@@ -569,7 +602,7 @@ class TestPhaseSearch:
             seen.append((rho, m))
             return m
 
-        return _phase_search(counted, 0.5), seen
+        return _phase_search(counted, 0.5, certified), seen
 
     @given(st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)), st.sampled_from(sorted(SHAPES)))
     @settings(max_examples=300, deadline=None)
@@ -597,3 +630,14 @@ class TestPhaseSearch:
         # Infeasible in a dip below rho*, which the search itself never probes.
         with pytest.raises(SolverError, match="not monotone"):
             self.search(lambda rho: -1.0 if 0.1 < rho < 0.2 else 0.5 - rho)
+
+    def test_spot_checks_try_the_certificate_first(self):
+        # A failing certificate leaves the spot check to the margin, which
+        # still finds the dip; one that holds spares the margin.
+        margin = lambda rho: -1.0 if 0.1 < rho < 0.2 else 0.5 - rho
+        asked = []
+        with pytest.raises(SolverError, match="not monotone"):
+            self.search(margin, certified=lambda rho: asked.append(rho) or False)
+        assert 0.1 < asked[0] < 0.2
+        rho_star, seen = self.search(margin, certified=lambda rho: True)
+        assert not {0.25 * rho_star, 0.5 * rho_star, 0.9 * rho_star} & dict(seen).keys()
