@@ -72,7 +72,11 @@ class AsymptoticBound:
     gamma_min / gamma_max as the BT search found it (at an edge optimum,
     ln(edge - rho)); gamma - rho itself can round to 0.0 in double when the
     optimum sits within one ulp of rho.  They are None for BCT and CT.
+    RECORD names the fields of the bound's output record, in order.
     """
+
+    RECORD = ("delta", "rho", "family", "L", "U", "lambda_min", "lambda_max",
+              "log_lambda_min", "gamma_min", "gamma_max", "nu_opt")
 
     family: str
     delta: float

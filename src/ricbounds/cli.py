@@ -35,10 +35,8 @@ from .svgfig import curve_svg, heatmap_svg
 
 SCHEMA_VERSION = "1"
 
-# AsymptoticBound fields of a bounds record, in order; a grid row drops the log.
-BOUND_FIELDS = ["delta", "rho", "family", "L", "U", "lambda_min", "lambda_max",
-                "log_lambda_min", "gamma_min", "gamma_max", "nu_opt"]
-GRID_COLUMNS = [c for c in BOUND_FIELDS if c != "log_lambda_min"]
+# A grid row is a bounds record without log_lambda_min.
+GRID_COLUMNS = [c for c in asymptotic.AsymptoticBound.RECORD if c != "log_lambda_min"]
 
 
 def _cell(x) -> str:
@@ -94,7 +92,7 @@ def _emit(args, params: dict, results, *, columns=None, figure=None):
 
 
 def _bound_record(b: asymptotic.AsymptoticBound) -> dict:
-    rec = {c: getattr(b, c) for c in BOUND_FIELDS}
+    rec = {c: getattr(b, c) for c in b.RECORD}
     if b.family == "BT":
         # Residuals of the first-order conditions; null at edge optima,
         # where the condition does not hold with equality.
@@ -153,27 +151,8 @@ def finite_cmd(args) -> None:
     """Tail probability bound at a concrete size (k, n, N)."""
     inst = finite.FiniteInstance(k=args.k, n=args.n, N=args.N, epsilon=args.epsilon)
     tb = finite.tail_prob_upper(inst) if args.side == "upper" else finite.tail_prob_lower(inst)
-    rec = {
-        "side": tb.side,
-        "k": args.k,
-        "n": args.n,
-        "N": args.N,
-        "epsilon": args.epsilon,
-        "total": tb.total,
-        "eig_term": tb.eig_term,
-        "cover_term": tb.cover_term,
-        "lambda_star": tb.lambda_star,
-        "log_lambda_star": tb.log_lambda_star,
-        "gamma_used": tb.gamma_used,
-        "psi_derivative": tb.psi_derivative,
-        "log_eig_term": tb.log_eig_term,
-        "log_cover_term": tb.log_cover_term,
-        "log_total": tb.log_total,
-        "log_prefactor_proof": tb.log_prefactor_proof,
-        "log_prefactor_stated": tb.log_prefactor_stated,
-    }
     params = {"k": args.k, "n": args.n, "N": args.N, "epsilon": args.epsilon, "side": args.side}
-    _emit(args, params, rec)
+    _emit(args, params, {c: getattr(tb, c) for c in tb.RECORD})
 
 
 EMPIRICAL_COLUMNS = ["n", "N", "k", "U_est", "L_est", "U_theory", "L_theory",
@@ -206,10 +185,7 @@ def empirical_cmd(args) -> None:
     def run_cell(N: int) -> dict:
         row = {"n": n_rows, "N": N, "k": k, "error": ""}
         try:
-            theory = asymptotic.bt_bounds(n_rows / N, k / n_rows)
-            sample = empirical.sample_gaussian(n_rows, N, seed)
-            up = empirical.local_search(sample, k, "upper", restarts=restarts, seed=seed)
-            lo = empirical.local_search(sample, k, "lower", restarts=restarts, seed=seed)
+            theory, up, lo = empirical._theory_and_estimates(k, n_rows, N, seed, restarts)
             row.update(
                 U_est=up.estimate,
                 L_est=lo.estimate,
@@ -256,13 +232,13 @@ def cover_cmd(args) -> None:
 
     check_count("trials", args.trials, 1)
     plan = covering.CoveringPlan(N=args.universe, k=args.k, m=args.m, u=args.u)
+    cb = covering.covering_bound(plan)  # refuses a plan before any trial runs
     rng = np.random.default_rng(args.seed)
     uncovered = [
         covering.random_cover(dataclasses.replace(plan, seed=int(ts)))[1]
         for ts in rng.integers(2**63, size=args.trials)
     ]
     failures = sum(1 for unc in uncovered if unc)
-    cb = covering.covering_bound(plan)
     rec = {
         "N": args.universe,
         "k": args.k,

@@ -16,7 +16,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .asymptotic import bt_bounds
+from . import asymptotic
 from .errors import DomainError, GuardError, check_count
 
 __all__ = [
@@ -354,6 +354,16 @@ def local_search(
     )
 
 
+def _theory_and_estimates(k: int, n: int, N: int, seed: int, restarts: int):
+    """(BT bounds at (n/N, k/n), upper run, lower run) on one seeded n x N
+    sample; the bound comes first, so its DomainError precedes any sampling."""
+    theory = asymptotic.bt_bounds(n / N, k / n)
+    sample = sample_gaussian(n, N, seed)
+    up = local_search(sample, k, "upper", restarts=restarts, seed=seed)
+    lo = local_search(sample, k, "lower", restarts=restarts, seed=seed)
+    return theory, up, lo
+
+
 def sharpness_ratio(
     k: int,
     n: int,
@@ -371,10 +381,7 @@ def sharpness_ratio(
     """
     if not 0 < k < n < N:
         raise DomainError(f"require 0 < k < n < N, got ({k}, {n}, {N})")
-    theory = bt_bounds(n / N, k / n)
-    sample = sample_gaussian(n, N, seed)
-    up = local_search(sample, k, "upper", restarts=restarts, seed=seed)
-    lo = local_search(sample, k, "lower", restarts=restarts, seed=seed)
+    theory, up, lo = _theory_and_estimates(k, n, N, seed, restarts)
     if up.estimate <= 0.0 or lo.estimate <= 0.0:
         raise DomainError(
             f"empirical estimate vanished (U_est={up.estimate}, "

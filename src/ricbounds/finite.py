@@ -74,7 +74,13 @@ class TailBound:
     epsilon.  log_prefactor_proof is the proof-derived polynomial prefactor
     used in eig_term; log_prefactor_stated, the other published variant, is
     derived from it: gamma^(1/2) larger on the upper side, equal on the lower.
+    RECORD names the output record's fields in order; k, n, N, epsilon read instance.
     """
+
+    RECORD = ("side", "k", "n", "N", "epsilon", "total", "eig_term", "cover_term",
+              "lambda_star", "log_lambda_star", "gamma_used", "psi_derivative",
+              "log_eig_term", "log_cover_term", "log_total", "log_prefactor_proof",
+              "log_prefactor_stated")
 
     side: str
     instance: FiniteInstance
@@ -86,6 +92,11 @@ class TailBound:
     log_eig_term: float
     log_cover_term: float
     log_total: float
+
+    k = property(lambda self: self.instance.k)
+    n = property(lambda self: self.instance.n)
+    N = property(lambda self: self.instance.N)
+    epsilon = property(lambda self: self.instance.epsilon)
 
     @property
     def log_prefactor_stated(self) -> float:

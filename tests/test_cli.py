@@ -16,6 +16,7 @@ import pytest
 
 from ricbounds import asymptotic
 from ricbounds.cli import main
+from ricbounds.finite import TailBound
 
 
 def run_cli(capsys, *argv):
@@ -151,12 +152,19 @@ class TestBounds:
         _, out, _ = run_cli(capsys, "--format", "json", "bounds", "0.3", "0.2")
         jsonschema.validate(json.loads(out), load_schema())
 
-    def test_default_text_names_every_record_key(self, capsys):
-        argv = ("bounds", "0.8", "0.8", "--family", "BT")
+    @pytest.mark.parametrize("argv, record", [
+        (("bounds", "0.8", "0.8", "--family", "BT"), asymptotic.AsymptoticBound.RECORD + (
+            "stationarity_residual_upper", "stationarity_residual_lower",
+            "boundary_upper", "boundary_lower")),
+        (("bounds", "0.5", "0.5", "--family", "CT"), asymptotic.AsymptoticBound.RECORD),
+        (("finite", "100", "200", "2000"), TailBound.RECORD),
+        (("finite", "100", "200", "2000", "--side", "lower"), TailBound.RECORD),
+    ], ids=["bounds-BT", "bounds-CT", "finite-upper", "finite-lower"])
+    def test_default_text_names_every_record_key(self, capsys, argv, record):
         _, text, _ = run_cli(capsys, *argv)
         _, out, _ = run_cli(capsys, "--format", "json", *argv)
         keys = [line.split()[0] for line in text.splitlines()]
-        assert keys == list(json.loads(out)["results"])
+        assert keys == list(json.loads(out)["results"]) == list(record)
 
 
 class TestGrid:
@@ -265,19 +273,26 @@ class TestEmpirical:
         assert row["error"] == ""
 
     def test_cell_matches_the_library(self, capsys):
-        # The command repeats sharpness_ratio's pipeline; the two must agree to the bit.
+        # A cell and sharpness_ratio share one pipeline, so they agree to the bit.
+        # N = 10 < n fails first, on the bound's delta, and leaves the next cell intact.
         from ricbounds.empirical import local_search, sample_gaussian, sharpness_ratio
 
-        _, out, _ = run_cli(
-            capsys, "--seed", "5", "empirical", "--n", "20", "--sizes", "40",
-            "--k", "2", "--restarts", "3",
-        )
-        row = next(csv.DictReader(io.StringIO(out)))
         sample = sample_gaussian(20, 40, 5)
-        for mode, column in (("upper", "U_est"), ("lower", "L_est")):
-            assert float(row[column]) == local_search(sample, 2, mode, restarts=3, seed=5).estimate
         ratios = sharpness_ratio(2, 20, 40, seed=5, restarts=3)
-        assert (float(row["ratio_U"]), float(row["ratio_L"])) == ratios
+        for sizes in ("40", "10,40"):
+            _, out, _ = run_cli(
+                capsys, "--seed", "5", "empirical", "--n", "20", "--sizes", sizes,
+                "--k", "2", "--restarts", "3",
+            )
+            *failed, row = csv.DictReader(io.StringIO(out))
+            assert len(failed) == sizes.count(",")
+            for bad in failed:
+                assert bad.pop("error") == "delta must be in (0,1), got 2.0"
+                assert list(bad.values()) == ["20", "10", "2"] + [""] * 6
+            for mode, column in (("upper", "U_est"), ("lower", "L_est")):
+                assert float(row[column]) == local_search(sample, 2, mode, restarts=3, seed=5).estimate
+            assert (float(row["ratio_U"]), float(row["ratio_L"])) == ratios
+            assert row["error"] == ""
 
     def test_tiny_instance_matches_exhaustive(self, capsys):
         from ricbounds.empirical import exhaustive_ric, sample_gaussian
@@ -349,6 +364,18 @@ class TestCover:
         rec = json.loads(out)["results"]
         assert rec["u"] == 20
         assert rec["log_bound_intermediate"] == pytest.approx(math.log(220) - 20 / 11, rel=1e-14)
+
+    def test_plan_refused_before_any_trial(self, capsys, monkeypatch):
+        from ricbounds import covering
+
+        def no_trials(plan):
+            raise AssertionError("a trial ran before the plan was checked")
+
+        monkeypatch.setattr(covering, "random_cover", no_trials)
+        code, out, err = run_cli(
+            capsys, "cover", "-N", "12", "--k", "12", "--m", "12", "--trials", "20000"
+        )
+        assert (code, out, err) == (2, "", "DomainError: require 0 < k < N, got (12, 12)\n")
 
     def test_guard_exit_code(self, capsys):
         code, _, err = run_cli(
