@@ -226,10 +226,10 @@ def stationarity_residual(b: AsymptoticBound, side: str) -> float | None:
     return log_lam - math.log1p(sign * gamma) - _first_order_y(sign, gamma, log_offset)
 
 
-def _search_start(sign, delta, rho, u_edge):
-    """A BT gamma search's start: the root of g = |y(rho)| - 3 ln rho + ln(1 + sign rho) + 2u, capped at u_edge - 1."""
-    eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
-    return min(-0.5 * (sign * (_lambert_y(eps, sign) - _first_order_y(sign, rho, 0.0))), u_edge - 1.0)
+def _first_order_offset(sign, gamma, y):
+    """u = ln(gamma - rho) at which lambda = (1 + sign gamma) e^y meets the
+    first-order condition: _first_order_y = y solved for u."""
+    return 0.5 * sign * (_first_order_y(sign, gamma, 0.0) - y)
 
 
 def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
@@ -243,7 +243,8 @@ def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
     it, so g > 0 exactly where lambda_1 lies between the foot and F's root:
     g <= 0 at g_edge puts the optimum there, else g's root is the optimum.
     g' = 2 - o((y_1 + eps) / (a expm1(y)) + 3/gamma - sign/a), as d eps/d gamma
-    = -sign (y_1 + eps) / a.  It starts at _search_start.  g is concave below
+    = -sign (y_1 + eps) / a.  It starts at _first_order_offset of y at gamma
+    = rho, capped at u_edge - 1.  g is concave below
     its root, so Newton steps from g <= 0 stay below it and one from above
     lands below it.  A step that leaves the bracket of known signs, or meets
     a slope <= 0, bisects it, or while no g <= 0 is known steps down by twice
@@ -260,7 +261,8 @@ def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
         return sign * (y - y1), 2.0 - o * ((y1 + eps) / (a * math.expm1(y)) + 3.0 / gamma - sign / a)
 
     u_edge = math.log(g_edge - rho)
-    lo, hi, u = -math.inf, u_edge, _search_start(sign, delta, rho, u_edge)
+    eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
+    lo, hi, u = -math.inf, u_edge, min(_first_order_offset(sign, rho, _lambert_y(eps, sign)), u_edge - 1.0)
     for _ in range(_ROOT_STEPS):
         g, slope = gap(u, math.exp(u))
         lo, hi = (lo, u) if g > 0.0 else (u, hi)
@@ -374,31 +376,51 @@ def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
     raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
 
 
-def _below_by_slack(a: float, b: float) -> bool:
-    """a < b by more than 1e-9 (1 + b), which covers rounding only: a closed-form
-    lambda solve's few ulps, and O(GAMMA_TOL^2) from where a gamma search stops."""
-    return a < b - 1e-9 * (1.0 + b)
+def _net_at_threshold(sign, delta, rho, gamma):
+    """Net exponent at lambda = 1 + sign (sqrt(2) - 1), where U (sign > 0) or L meets sqrt(2) - 1."""
+    return (_net_max_raw(1.0 + L1_THRESHOLD, delta, rho, gamma) if sign > 0.0
+            else _net_min_log_lambda(math.log1p(-L1_THRESHOLD), delta, rho, gamma))
 
 
-def _bt_lower_at(delta, rho, gamma):
-    """L at gamma clamped into [rho, _LOWER_CAP]: never below the lower search's L."""
-    return -math.expm1(solve_lambda_min(delta, rho, max(rho, min(gamma, _LOWER_CAP))))
+def _certified(delta, rho):
+    """True when U and L at gamma = rho, which bound BT's and BCT's from above,
+    lie below sqrt(2) - 1: for rho < sqrt(2) - 1 both levels lie past the feet
+    1 +- rho, where each net exponent is negative only beyond its root.  The
+    slack covers the margin's residual gate and the rounding of F."""
+    return rho < L1_THRESHOLD and max(
+        _net_at_threshold(s, delta, rho, rho) for s in (1.0, -1.0)) < -2.0 * RESIDUAL_TOL
 
 
-def _bt_certified(delta, rho):
-    """True when U and L at the gamma where the upper search starts, which
-    bound BT's optimized U and L from above, both lie below sqrt(2) - 1."""
-    gamma = rho + math.exp(_search_start(1.0, delta, rho, math.log(1.0 / delta - rho)))
-    upper = math.expm1(solve_lambda_max(delta, rho, gamma))
-    return _below_by_slack(max(upper, _bt_lower_at(delta, rho, gamma)), L1_THRESHOLD)
+def _crossing(delta, bt, sign):
+    """Predicted rho where U (sign > 0) or L of BT (bt) or BCT meets sqrt(2) - 1:
+    the root, by a secant in ln gamma from 2e-3 and 4e-3 to a last step of
+    1e-7, of the net exponent at lambda = 1 + sign (sqrt(2) - 1) on the curve
+    gamma -> rho(gamma): rho = gamma for BCT, and for BT gamma less the
+    _first_order_offset of that lambda."""
+    log_lam = math.log1p(sign * L1_THRESHOLD)
+
+    def on_curve(x):
+        gamma = math.exp(x)
+        rho = gamma - math.exp(_first_order_offset(sign, gamma, log_lam - math.log1p(sign * gamma))) if bt else gamma
+        return rho, _net_at_threshold(sign, delta, rho, gamma)
+
+    x_old, x = math.log(2e-3), math.log(4e-3)
+    (_, f_old), (rho, f) = on_curve(x_old), on_curve(x)
+    for _ in range(_ROOT_STEPS):
+        x_old, x = x, x - f * (x - x_old) / (f - f_old)
+        f_old, (rho, f) = f, on_curve(x)
+        if abs(x - x_old) <= 1e-7:
+            break
+    return rho
 
 
 def _max_bound(family: str, delta: float):
     """rho -> max(L, U), bit for bit max(b.L, b.U) of compute_bounds(family,
-    delta, rho), solving only the side that sets the max.  BT solves
-    _bt_lower_at the upper search's gamma; where that L lies below U by
-    _below_by_slack, the max is U and the lower search is skipped.  BCT
-    solves its nu = _NU_TOP end once per curve; CT runs compute_bounds."""
+    delta, rho), solving only the side that sets the max.  BT solves L at the
+    upper search's gamma clamped into [rho, _LOWER_CAP], never below the lower
+    search's L; where it lies below U by more than 1e-9 (1 + U), rounding only
+    (a lambda solve's ulps, O(GAMMA_TOL^2) from a gamma search's stop), the
+    max is U.  BCT solves its nu = _NU_TOP end once per curve; CT runs compute_bounds."""
     if family == "BCT":
         log_top = solve_lambda_max(delta, _NU_TOP, _NU_TOP)
 
@@ -406,7 +428,7 @@ def _max_bound(family: str, delta: float):
         if family == "BT":
             upper = optimize_gamma_for_max(delta, rho)
             u = math.expm1(upper.value)
-            if _below_by_slack(_bt_lower_at(delta, rho, upper.gamma), u):
+            if -math.expm1(solve_lambda_min(delta, rho, max(rho, min(upper.gamma, _LOWER_CAP)))) < u - 1e-9 * (1.0 + u):
                 return u
             return max(-math.expm1(optimize_gamma_for_min(delta, rho).value), u)
         if family == "BCT":
@@ -421,32 +443,43 @@ def _max_bound(family: str, delta: float):
 
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
     """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by _phase_search
-    on (sqrt(2) - 1) - _max_bound, with _bt_certified for BT's spot checks.  L and U bound RICs
-    of order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
+    on (sqrt(2) - 1) - _max_bound.  BT and BCT guess the smaller _crossing (the lower
+    side's only where L < sqrt(2) - 1 fails at gamma = rho there), which brackets rho*
+    at 2 margins, and spot-check by _certified: 32-34 net-exponent evaluations per BT
+    curve, 24-26 per BCT curve.  CT searches unseeded, at about 6 margins.  L and U
+    bound RICs of order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2)
+    n-sparse recovery."""
     _validate_point(delta, 0.5)
     max_bound = _max_bound(family, delta)
-    certified = (lambda rho: _bt_certified(delta, rho)) if family == "BT" else None
-    return _phase_search(lambda rho: L1_THRESHOLD - max_bound(rho), delta, certified)
+    margin = lambda rho: L1_THRESHOLD - max_bound(rho)
+    if family not in ("BT", "BCT"):
+        return _phase_search(margin, delta)
+    guess = _crossing(delta, family == "BT", 1.0)
+    if not _net_at_threshold(-1.0, delta, guess, guess) < 0.0:
+        guess = min(guess, _crossing(delta, family == "BT", -1.0))
+    return _phase_search(margin, delta, lambda rho: _certified(delta, rho), guess)
 
 
-def _phase_search(margin, delta: float, certified=None) -> float:
+def _phase_search(margin, delta: float, certified=None, guess=None) -> float:
     """Largest rho with margin m(rho) > 0 (delta only names the curve in errors),
     by a bracketed secant in sqrt(rho), in which m is close to linear.  lo is
-    the newest rho with m > 0 (from 1e-7) and hi the newest with m <= 0; the
-    first probe is 2e-3.  Each step is the secant root in sqrt(rho) through
-    the two newest points, kept at least 5e-9 inside [lo, hi].  Until hi is
-    found, a step that does not point above lo moves to 3 lo - 2e-7 instead,
-    capped at 1 - 1e-12, where m > 0 raises SolverError.  Once bracketed, it
-    bisects where the secant root leaves (lo, hi) or where the newest step
-    was more than half as long as the one before it (Brent's rule).  It stops
-    when hi - lo <= 1e-8 and returns lo.  Monotone feasibility in rho is
-    assumed and spot-checked at fractions of lo, by certified(rho) if given
-    and true (a cheaper proof of m > 0), else by m.  Returns 0.0 when even m(1e-7) <= 0."""
+    the newest rho with m > 0 and hi the newest with m <= 0.  The first probes
+    are guess -+ 2.5e-9, for a guess in (1e-7 + 1e-8, 1 - 1e-12 - 1e-8), so a
+    guess that close to the crossing ends the search at once; else 1e-7 and
+    2e-3.  1e-7 is probed whenever no m > 0 is known yet, and m(1e-7) <= 0
+    returns 0.0.  Each later step is the secant root in sqrt(rho)
+    through the two newest points, kept at least 5e-9 inside [lo, hi].  Until
+    hi is found, a step that does not point above lo moves to 3 lo - 2e-7
+    instead, capped at 1 - 1e-12, where m > 0 raises SolverError.  Once
+    bracketed, it bisects where the secant root leaves (lo, hi) or where the
+    newest step was more than half as long as the one before it (Brent's
+    rule).  It stops when hi - lo <= 1e-8 and returns lo.  Monotone
+    feasibility in rho is assumed and spot-checked at fractions of lo, by
+    certified(rho) if given and true (a cheaper proof of m > 0), else by m."""
     start, top, tol = 1e-7, 1.0 - 1e-12, 1e-8
-    m_old = margin(start)
-    if not m_old > 0.0:
-        return 0.0
-    lo, hi, x_old, x = start, math.inf, start, 2e-3
+    seeded = guess is not None and start + tol < guess < top - tol
+    x, second = (guess - 0.25 * tol, guess + 0.25 * tol) if seeded else (start, 2e-3)
+    lo, hi, x_old, m_old = 0.0, math.inf, None, None  # lo = 0.0 until some m > 0 is seen
     w1 = w2 = math.inf  # lengths of the newest step and the one before, inf until bracketed
     for _ in range(_ROOT_STEPS):
         m = margin(x)
@@ -458,14 +491,21 @@ def _phase_search(margin, delta: float, certified=None) -> float:
             hi = x
         if hi - lo <= tol:
             break
-        s, s_old = math.sqrt(x), math.sqrt(x_old)
-        t = s - m * (s - s_old) / (m - m_old) if m != m_old else math.nan
-        if hi == math.inf:
-            step = t * t if m < m_old else 3.0 * lo - 2.0 * start
-        elif math.sqrt(lo) < t < math.sqrt(hi) and not w1 > 0.5 * w2:
-            step = t * t
+        if lo == 0.0:
+            if x == start:
+                return 0.0
+            step = start
+        elif x_old is None:
+            step = second
         else:
-            step = 0.5 * (lo + hi)
+            s, s_old = math.sqrt(x), math.sqrt(x_old)
+            t = s - m * (s - s_old) / (m - m_old) if m != m_old else math.nan
+            if hi == math.inf:
+                step = t * t if m < m_old else 3.0 * lo - 2.0 * start
+            elif math.sqrt(lo) < t < math.sqrt(hi) and not w1 > 0.5 * w2:
+                step = t * t
+            else:
+                step = 0.5 * (lo + hi)
         x_old, m_old, x = x, m, min(max(step, lo + 0.5 * tol), hi - 0.5 * tol, top)
         w2, w1 = w1, abs(x - x_old) if hi < math.inf else math.inf
     else:

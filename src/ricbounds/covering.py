@@ -94,7 +94,7 @@ def random_cover(plan: CoveringPlan) -> tuple[bool, int]:
     count = math.comb(plan.N, plan.k)
     if count > COVER_CHECK_GUARD:
         raise GuardError(
-            f"C({plan.N}, {plan.k}) = {count} subsets exceeds the coverage "
+            f"C({plan.N}, {plan.k}) ~ 10^{math.log10(count):.1f} subsets exceeds the coverage "
             f"check guard of {COVER_CHECK_GUARD}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))

@@ -125,7 +125,7 @@ def exhaustive_ric(
     count = math.comb(sample.N, k)
     if count > EXHAUSTIVE_GUARD:
         raise GuardError(
-            f"C({sample.N}, {k}) = {count} supports exceeds the "
+            f"C({sample.N}, {k}) ~ 10^{math.log10(count):.1f} supports exceeds the "
             f"exhaustive guard of {EXHAUSTIVE_GUARD}"
         )
     (lo, arg_lo), (hi, arg_hi) = _first_extremes(sample.gram, combinations(range(sample.N), k), k)

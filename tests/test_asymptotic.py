@@ -12,7 +12,8 @@ from ricbounds.asymptotic import (
     FAMILIES,
     L1_THRESHOLD,
     GammaOptimum,
-    _bt_certified,
+    _certified,
+    _crossing,
     _lambert_y,
     _max_bound,
     _phase_search,
@@ -460,13 +461,14 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls):
-        # 59 to 68 (BT) and 34 to 38 (BCT) over 401 deltas in [0.05, 0.95]
-        # and five from 0.001 to 0.999, with two evaluations per lambda
-        # solve: BT skips the lower gamma search and certifies its spot
-        # checks with two lambda solves, and BCT solves its nu = 1 - 1e-12
-        # end once per curve.  The looser ceilings above are part of those
-        # tests' ids.
-        for family, ceiling in (("BT", 70), ("BCT", 40)):
+        # 32 to 34 (BT) and 24 to 26 (BCT) over 401 deltas in [0.05, 0.95],
+        # five from 0.001 to 0.999 and 1e-6, 1e-3 and 1 - 1e-9: the
+        # predicted crossing's upper-side secant and lower-side check, two
+        # margins, and three certified spot checks at two evaluations each.
+        # BT's margin skips the lower gamma search and BCT solves its nu = 1 -
+        # 1e-12 end once per curve.  The looser ceilings above are part of
+        # those tests' ids.
+        for family, ceiling in (("BT", 34), ("BCT", 26)):
             net_calls[0] = 0
             l1_phase_transition(d, family)
             assert net_calls[0] <= ceiling
@@ -474,24 +476,57 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_point_takes_few_bound_calls(self, d, family, monkeypatch):
-        # At most six margins for the search, from rho = 1e-7 on, and three
-        # spot checks, which BT certifies without a margin; the search ends
-        # on a bracket no wider than 1e-8.
+        # BT and BCT probe the predicted crossing -+ 2.5e-9, which brackets
+        # rho* at once, and certify their spot checks without a margin.  CT
+        # searches unseeded: at most six margins from rho = 1e-7 on and three
+        # spot checks.  Each search ends on a bracket no wider than 1e-8.
         seen = []
 
-        def spied(margin, delta, certified=None):
+        def spied(margin, delta, certified=None, guess=None):
             def counted(rho):
                 m = margin(rho)
                 seen.append((rho, m))
                 return m
 
-            return _phase_search(counted, delta, certified)
+            return _phase_search(counted, delta, certified, guess)
 
         monkeypatch.setattr(asymptotic, "_phase_search", spied)
         rho_star = l1_phase_transition(d, family)
-        assert len(seen) <= 9
+        assert len(seen) <= {"BT": 2, "BCT": 2, "CT": 9}[family]
         assert dict(seen)[rho_star] > 0.0
         assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9])
+    def test_matches_a_plain_bisection(self, d, family):
+        # Bisection on the same margin, from a feasible 1e-7 and an
+        # infeasible 0.1 down to a 1e-10 bracket, so its lo lies within
+        # 1e-10 below the crossing and the search's within 1e-8.
+        max_bound = _max_bound(family, d)
+        lo, hi = 1e-7, 0.1
+        assert L1_THRESHOLD - max_bound(lo) > 0.0 and not L1_THRESHOLD - max_bound(hi) > 0.0
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if L1_THRESHOLD - max_bound(mid) > 0.0 else (lo, mid)
+        assert abs(l1_phase_transition(d, family) - lo) <= 1e-8
+
+    @pytest.mark.parametrize("family", ["BT", "BCT"])
+    @pytest.mark.parametrize("d", [1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9])
+    def test_predicted_crossings_put_each_side_at_the_threshold(self, d, family):
+        # Each side's prediction, the lower one included though the curve
+        # never needs it (L stays far below U there), is where that side's
+        # bound, solved as the margin solves it, equals sqrt(2) - 1.
+        bt = family == "BT"
+        upper, lower = _crossing(d, bt, 1.0), _crossing(d, bt, -1.0)
+        if bt:
+            u = math.expm1(optimize_gamma_for_max(d, upper).value)
+            l = -math.expm1(optimize_gamma_for_min(d, lower).value)
+        else:
+            u = math.expm1(solve_lambda_max(d, upper, upper))
+            l = -math.expm1(solve_lambda_min(d, lower, lower))
+        assert u == pytest.approx(L1_THRESHOLD, abs=1e-11)
+        assert l == pytest.approx(L1_THRESHOLD, abs=1e-11)
+        assert upper < lower
 
 
 @pytest.fixture
@@ -549,11 +584,11 @@ class TestMaxBound:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_bt_curve_skips_the_lower_search(self, d, gamma_searches):
-        # Six margins, each one upper search; the spot checks are certified
+        # Two margins, each one upper search; the spot checks are certified
         # without one.  U leads L by far more than the slack at every rho
         # the curve probes (by about 0.09 at rho*), so no lower search runs.
         l1_phase_transition(d, "BT")
-        assert gamma_searches["upper"] <= 6
+        assert gamma_searches["upper"] <= 2
         assert gamma_searches["lower"] == 0
 
     @given(
@@ -562,16 +597,17 @@ class TestMaxBound:
     )
     @settings(max_examples=150, deadline=None)
     def test_certificate_implies_a_positive_margin(self, d, f):
-        # The certificate proves max(L, U) < sqrt(2) - 1 from U and L at the
-        # upper search's start, which bound the optimized U and L from above.
-        # At rho* + 1e-8, past the search's infeasible bracket end, the
-        # margin is not positive, so the certificate must fail there.
-        rho_star, max_bound = l1_phase_transition(d, "BT"), _max_bound("BT", d)
-        above = rho_star + 1e-8
-        assert not L1_THRESHOLD - max_bound(above) > 0.0 and not _bt_certified(d, above)
-        r = min(f * rho_star, 0.999)
-        if _bt_certified(d, r):
-            assert L1_THRESHOLD - max_bound(r) > 0.0
+        # The certificate proves max(L, U) < sqrt(2) - 1 from U and L at
+        # gamma = rho, which bound BT's and BCT's U and L from above.  At
+        # rho* + 1e-8, past the search's infeasible bracket end, the margin
+        # is not positive, so the certificate must fail there.
+        for family in ("BT", "BCT"):
+            rho_star, max_bound = l1_phase_transition(d, family), _max_bound(family, d)
+            above = rho_star + 1e-8
+            assert not L1_THRESHOLD - max_bound(above) > 0.0 and not _certified(d, above)
+            r = min(f * rho_star, 0.999)
+            if _certified(d, r):
+                assert L1_THRESHOLD - max_bound(r) > 0.0
 
 
 class TestPhaseSearch:
@@ -592,7 +628,7 @@ class TestPhaseSearch:
     }
 
     @staticmethod
-    def search(margin, certified=None):
+    def search(margin, certified=None, guess=None):
         """rho* from the phase search on margin(rho), and every (rho, margin)
         pair it evaluated, spot checks included."""
         seen = []
@@ -602,7 +638,7 @@ class TestPhaseSearch:
             seen.append((rho, m))
             return m
 
-        return _phase_search(counted, 0.5, certified), seen
+        return _phase_search(counted, 0.5, certified, guess), seen
 
     @given(st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)), st.sampled_from(sorted(SHAPES)))
     @settings(max_examples=300, deadline=None)
@@ -614,12 +650,39 @@ class TestPhaseSearch:
         assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
         assert len(seen) <= 70
 
+    @given(
+        st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)),
+        st.sampled_from(sorted(SHAPES)),
+        st.sampled_from([1.1, 0.9, None]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_contract_with_a_wrong_guess(self, log_r, shape, factor):
+        # A guess 10% above or below the root, or one below 1e-7, which the
+        # search ignores; none may break the contract.  Over 10^4 seeded
+        # roots per shape and guess the most was 64 (cubic, 10% low).
+        g, r = self.SHAPES[shape], math.exp(log_r)
+        guess = 5e-8 if factor is None else factor * r
+        rho_star, seen = self.search(lambda rho: g(r - rho), guess=guess)
+        assert dict(seen)[rho_star] > 0.0
+        assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
+        assert len(seen) <= 70
+        if factor is None:
+            assert (rho_star, seen) == self.search(lambda rho: g(r - rho))
+
+    def test_a_close_guess_brackets_at_once(self):
+        rho_star, seen = self.search(lambda rho: 0.3 - rho, certified=lambda rho: True, guess=0.3)
+        quarter = 0.25 * 1e-8
+        assert [x for x, _ in seen] == pytest.approx([0.3 - quarter, 0.3 + quarter], abs=1e-16)
+        assert rho_star == 0.3 - quarter
+
     def test_infeasible_start_returns_zero(self):
         assert self.search(lambda rho: -1.0) == (0.0, [(1e-7, -1.0)])
+        assert self.search(lambda rho: -1.0, guess=0.3) == (0.0, [(0.3 - 0.25 * 1e-8, -1.0), (1e-7, -1.0)])
 
     def test_positive_margin_at_the_cap_raises(self):
-        with pytest.raises(SolverError, match=r"margin still positive at rho=0\.999999999999"):
-            self.search(lambda rho: 1.0)
+        for guess in (None, 0.5):
+            with pytest.raises(SolverError, match=r"margin still positive at rho=0\.999999999999"):
+                self.search(lambda rho: 1.0, guess=guess)
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(asymptotic, "_ROOT_STEPS", 2)

@@ -384,6 +384,15 @@ class TestCover:
         assert code == 4
         assert "guard" in err
 
+    def test_guard_message_of_a_count_past_4300_digits(self, capsys):
+        # C(20000, 10000) has 6019 digits, past Python's int-to-str limit;
+        # the guard names its size as a power of ten instead.
+        code, out, err = run_cli(
+            capsys, "cover", "-N", "20000", "--k", "10000", "--m", "19999", "--trials", "1"
+        )
+        assert (code, out) == (4, "")
+        assert "C(20000, 10000) ~ 10^6018.4 subsets" in err
+
     def test_negative_u_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "cover", "-N", "12", "--k", "3", "--m", "6", "--u", "-5")
         assert code == 2

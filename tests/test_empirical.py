@@ -184,6 +184,10 @@ class TestExhaustive:
         with pytest.raises(GuardError):
             exhaustive_ric(s, 10)
 
+    def test_guard_on_a_count_past_4300_digits(self):
+        with pytest.raises(GuardError, match=r"C\(20000, 10000\) ~ 10\^6018\.4 supports"):
+            exhaustive_ric(sample_gaussian(2, 20000, 0), 10000)
+
 
 def _per_support_exhaustive(sample, k):
     """Exhaustive enumeration with one eigvalsh call per support: the loop
