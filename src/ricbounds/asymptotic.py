@@ -232,7 +232,7 @@ def _first_order_offset(sign, gamma, y):
     return 0.5 * sign * (_first_order_y(sign, gamma, 0.0) - y)
 
 
-def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
+def _gamma_search(sign, delta, rho, g_edge, solve, start=None) -> GammaOptimum:
     """Shared body of the BT gamma searches: safeguarded Newton on u = ln(gamma - rho).
 
     With gamma = rho + o, o = e^u, a = 1 + sign gamma and eps = 2 F(a) / (delta
@@ -243,9 +243,8 @@ def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
     it, so g > 0 exactly where lambda_1 lies between the foot and F's root:
     g <= 0 at g_edge puts the optimum there, else g's root is the optimum.
     g' = 2 - o((y_1 + eps) / (a expm1(y)) + 3/gamma - sign/a), as d eps/d gamma
-    = -sign (y_1 + eps) / a.  It starts at _first_order_offset of y at gamma
-    = rho, capped at u_edge - 1.  g is concave below
-    its root, so Newton steps from g <= 0 stay below it and one from above
+    = -sign (y_1 + eps) / a.  It starts at start, else _first_order_offset of y at
+    gamma = rho, capped at u_edge - 1.  g is concave below its root, so Newton steps from g <= 0 stay below it and one from above
     lands below it.  A step that leaves the bracket of known signs, or meets
     a slope <= 0, bisects it, or while no g <= 0 is known steps down by twice
     its distance from the edge.  The bracket's top is the edge, where g is
@@ -260,9 +259,14 @@ def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
         y, y1 = _lambert_y(eps, sign), _first_order_y(sign, gamma, u)
         return sign * (y - y1), 2.0 - o * ((y1 + eps) / (a * math.expm1(y)) + 3.0 / gamma - sign / a)
 
+    if sign > 0.0 and delta < 2.0**-52:
+        raise DomainError(f"delta={delta} below 2**-52: at gamma = 1/delta the terms of the"
+                          " upper net exponent cancel below one ulp")
     u_edge = math.log(g_edge - rho)
-    eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
-    lo, hi, u = -math.inf, u_edge, min(_first_order_offset(sign, rho, _lambert_y(eps, sign)), u_edge - 1.0)
+    if start is None:
+        eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
+        start = _first_order_offset(sign, rho, _lambert_y(eps, sign))
+    lo, hi, u = -math.inf, u_edge, min(start, u_edge - 1.0)
     for _ in range(_ROOT_STEPS):
         g, slope = gap(u, math.exp(u))
         lo, hi = (lo, u) if g > 0.0 else (u, hi)
@@ -287,9 +291,6 @@ def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
     delta = 2**-52 it raises DomainError rather than return U ~ 1/delta.
     """
     _validate_point(delta, rho)
-    if delta < 2.0**-52:
-        raise DomainError(f"delta={delta} below 2**-52: at gamma = 1/delta the terms of the"
-                          " upper net exponent cancel below one ulp")
     return _gamma_search(1.0, delta, rho, 1.0 / delta, solve_lambda_max)
 
 
@@ -382,51 +383,60 @@ def _net_at_threshold(sign, delta, rho, gamma):
             else _net_min_log_lambda(math.log1p(-L1_THRESHOLD), delta, rho, gamma))
 
 
-def _certified(delta, rho):
-    """True when U and L at gamma = rho, which bound BT's and BCT's from above,
-    lie below sqrt(2) - 1: for rho < sqrt(2) - 1 both levels lie past the feet
-    1 +- rho, where each net exponent is negative only beyond its root.  The
-    slack covers the margin's residual gate and the rounding of F."""
-    return rho < L1_THRESHOLD and max(
-        _net_at_threshold(s, delta, rho, rho) for s in (1.0, -1.0)) < -2.0 * RESIDUAL_TOL
+def _certified(delta, rho, gamma=None):
+    """True when U and L at one gamma in [rho, sqrt(2) - 1), rho if None, lie
+    below sqrt(2) - 1: both levels lie past the feet 1 +- gamma, where each
+    net exponent is negative only beyond its root.  U and L at any feasible
+    gamma bound BT's from above, and at gamma = rho BCT's too.  The slack
+    covers the margin's residual gate and the rounding of F."""
+    gamma = rho if gamma is None else gamma
+    return rho <= gamma < L1_THRESHOLD and max(
+        _net_at_threshold(s, delta, rho, gamma) for s in (1.0, -1.0)) < -2.0 * RESIDUAL_TOL
 
 
 def _crossing(delta, bt, sign):
-    """Predicted rho where U (sign > 0) or L of BT (bt) or BCT meets sqrt(2) - 1:
-    the root, by a secant in ln gamma from 2e-3 and 4e-3 to a last step of
-    1e-7, of the net exponent at lambda = 1 + sign (sqrt(2) - 1) on the curve
-    gamma -> rho(gamma): rho = gamma for BCT, and for BT gamma less the
-    _first_order_offset of that lambda."""
+    """Predicted (rho, gamma) where U (sign > 0) or L of BT (bt) or BCT meets sqrt(2) - 1,
+    by Newton in x = ln gamma from 3e-3 to a last step of 1e-8 on the net exponent f at
+    lambda = 1 + sign (sqrt(2) - 1) along gamma -> rho.  BCT has rho = gamma and f' =
+    gamma delta (dpsi/dgamma + ln((1 - gamma delta) / (gamma delta))).  BT has rho = gamma
+    - e^u, u the _first_order_offset, where dF/dgamma = 0, so f' = (dF/drho)(drho/dx) =
+    delta ln((1 - rho delta) / (delta e^u)) (gamma - e^u du/dx), du/dx = 3/2 or 3/2 + gamma/(1 - gamma)."""
     log_lam = math.log1p(sign * L1_THRESHOLD)
 
     def on_curve(x):
         gamma = math.exp(x)
-        rho = gamma - math.exp(_first_order_offset(sign, gamma, log_lam - math.log1p(sign * gamma))) if bt else gamma
-        return rho, _net_at_threshold(sign, delta, rho, gamma)
+        if not bt:
+            dpsi = 0.5 * (log_lam - x) if sign > 0.0 else math.log((1.0 - gamma) / gamma) + 0.5 * (x - log_lam)
+            return gamma, gamma, gamma * delta * (dpsi + math.log((1.0 - gamma * delta) / (gamma * delta)))
+        o = math.exp(_first_order_offset(sign, gamma, log_lam - math.log1p(sign * gamma)))
+        du = 1.5 if sign > 0.0 else 1.5 + gamma / (1.0 - gamma)
+        return gamma - o, gamma, delta * math.log((1.0 - (gamma - o) * delta) / (delta * o)) * (gamma - o * du)
 
-    x_old, x = math.log(2e-3), math.log(4e-3)
-    (_, f_old), (rho, f) = on_curve(x_old), on_curve(x)
+    x = math.log(3e-3)
     for _ in range(_ROOT_STEPS):
-        x_old, x = x, x - f * (x - x_old) / (f - f_old)
-        f_old, (rho, f) = f, on_curve(x)
-        if abs(x - x_old) <= 1e-7:
+        rho, gamma, slope = on_curve(x)
+        step = _net_at_threshold(sign, delta, rho, gamma) / slope
+        x -= step
+        if abs(step) <= 1e-8:
             break
-    return rho
+    return on_curve(x)[:2]
 
 
-def _max_bound(family: str, delta: float):
-    """rho -> max(L, U), bit for bit max(b.L, b.U) of compute_bounds(family,
-    delta, rho), solving only the side that sets the max.  BT solves L at the
-    upper search's gamma clamped into [rho, _LOWER_CAP], never below the lower
-    search's L; where it lies below U by more than 1e-9 (1 + U), rounding only
-    (a lambda solve's ulps, O(GAMMA_TOL^2) from a gamma search's stop), the
-    max is U.  BCT solves its nu = _NU_TOP end once per curve; CT runs compute_bounds."""
+def _max_bound(family: str, delta: float, gamma=None):
+    """rho -> max(L, U), solving only the side that sets the max; without a seed
+    gamma, bit for bit max(b.L, b.U) of compute_bounds(family, delta, rho).  BT
+    starts its upper search at ln(gamma - rho) where gamma > rho, else as
+    optimize_gamma_for_max, and solves L at its gamma clamped into [rho, _LOWER_CAP],
+    never below the lower search's L; where it lies below U by more than 1e-9 (1 + U),
+    rounding only (a lambda solve's ulps, O(GAMMA_TOL^2) from a gamma search's stop),
+    the max is U.  BCT solves its nu = _NU_TOP end once per curve; CT runs compute_bounds."""
     if family == "BCT":
         log_top = solve_lambda_max(delta, _NU_TOP, _NU_TOP)
 
     def max_bound(rho):
         if family == "BT":
-            upper = optimize_gamma_for_max(delta, rho)
+            start = math.log(gamma - rho) if gamma is not None and gamma > rho else None
+            upper = _gamma_search(1.0, delta, rho, 1.0 / delta, solve_lambda_max, start)
             u = math.expm1(upper.value)
             if -math.expm1(solve_lambda_min(delta, rho, max(rho, min(upper.gamma, _LOWER_CAP)))) < u - 1e-9 * (1.0 + u):
                 return u
@@ -445,19 +455,20 @@ def l1_phase_transition(delta: float, family: str = "BT") -> float:
     """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by _phase_search
     on (sqrt(2) - 1) - _max_bound.  BT and BCT guess the smaller _crossing (the lower
     side's only where L < sqrt(2) - 1 fails at gamma = rho there), which brackets rho*
-    at 2 margins, and spot-check by _certified: 32-34 net-exponent evaluations per BT
-    curve, 24-26 per BCT curve.  CT searches unseeded, at about 6 margins.  L and U
-    bound RICs of order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2)
-    n-sparse recovery."""
+    at once.  BT starts its margin's upper gamma search and certifies at the crossing's
+    gamma, BCT at gamma = rho: 1 margin and 19-21 net-exponent evaluations per BT curve,
+    17-20 per BCT curve.  CT searches unseeded, at about 6 margins.  L and U bound RICs
+    of order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
     _validate_point(delta, 0.5)
-    max_bound = _max_bound(family, delta)
-    margin = lambda rho: L1_THRESHOLD - max_bound(rho)
-    if family not in ("BT", "BCT"):
-        return _phase_search(margin, delta)
-    guess = _crossing(delta, family == "BT", 1.0)
-    if not _net_at_threshold(-1.0, delta, guess, guess) < 0.0:
-        guess = min(guess, _crossing(delta, family == "BT", -1.0))
-    return _phase_search(margin, delta, lambda rho: _certified(delta, rho), guess)
+    guess = gamma = certified = None
+    if family in ("BT", "BCT"):
+        guess, gamma = _crossing(delta, family == "BT", 1.0)
+        if not _net_at_threshold(-1.0, delta, guess, guess) < 0.0:
+            guess, gamma = min((guess, gamma), _crossing(delta, family == "BT", -1.0))
+        gamma = gamma if family == "BT" else None
+        certified = lambda rho: _certified(delta, rho, gamma)
+    max_bound = _max_bound(family, delta, gamma)
+    return _phase_search(lambda rho: L1_THRESHOLD - max_bound(rho), delta, certified, guess)
 
 
 def _phase_search(margin, delta: float, certified=None, guess=None) -> float:
@@ -466,24 +477,25 @@ def _phase_search(margin, delta: float, certified=None, guess=None) -> float:
     the newest rho with m > 0 and hi the newest with m <= 0.  The first probes
     are guess -+ 2.5e-9, for a guess in (1e-7 + 1e-8, 1 - 1e-12 - 1e-8), so a
     guess that close to the crossing ends the search at once; else 1e-7 and
-    2e-3.  1e-7 is probed whenever no m > 0 is known yet, and m(1e-7) <= 0
-    returns 0.0.  Each later step is the secant root in sqrt(rho)
-    through the two newest points, kept at least 5e-9 inside [lo, hi].  Until
-    hi is found, a step that does not point above lo moves to 3 lo - 2e-7
-    instead, capped at 1 - 1e-12, where m > 0 raises SolverError.  Once
-    bracketed, it bisects where the secant root leaves (lo, hi) or where the
-    newest step was more than half as long as the one before it (Brent's
-    rule).  It stops when hi - lo <= 1e-8 and returns lo.  Monotone
-    feasibility in rho is assumed and spot-checked at fractions of lo, by
-    certified(rho) if given and true (a cheaper proof of m > 0), else by m."""
+    2e-3.  certified(rho), if given and true, is a cheaper proof of m > 0; at
+    guess - 2.5e-9 it leaves m = None until a secant step needs it.  1e-7 is
+    probed whenever no m > 0 is known yet, and m(1e-7) <= 0 returns 0.0.  Each
+    later step is the secant root in sqrt(rho) through the two newest points,
+    kept at least 5e-9 inside [lo, hi].  Until hi is found, a step that does
+    not point above lo moves to 3 lo - 2e-7 instead, capped at 1 - 1e-12, where
+    m > 0 raises SolverError.  Once bracketed, it bisects where the secant root
+    leaves (lo, hi) or where the newest step was more than half as long as the
+    one before it (Brent's rule).  It stops when hi - lo <= 1e-8 and returns lo.
+    Monotone feasibility in rho is assumed and spot-checked at fractions of lo,
+    by certified if true, else by m."""
     start, top, tol = 1e-7, 1.0 - 1e-12, 1e-8
     seeded = guess is not None and start + tol < guess < top - tol
     x, second = (guess - 0.25 * tol, guess + 0.25 * tol) if seeded else (start, 2e-3)
     lo, hi, x_old, m_old = 0.0, math.inf, None, None  # lo = 0.0 until some m > 0 is seen
     w1 = w2 = math.inf  # lengths of the newest step and the one before, inf until bracketed
     for _ in range(_ROOT_STEPS):
-        m = margin(x)
-        if m > 0.0:
+        m = None if seeded and x_old is None and certified is not None and certified(x) else margin(x)
+        if m is None or m > 0.0:
             if x == top:
                 raise SolverError(f"margin still positive at rho={top!r} (delta={delta})")
             lo = x
@@ -498,6 +510,7 @@ def _phase_search(margin, delta: float, certified=None, guess=None) -> float:
         elif x_old is None:
             step = second
         else:
+            m_old = margin(x_old) if m_old is None else m_old
             s, s_old = math.sqrt(x), math.sqrt(x_old)
             t = s - m * (s - s_old) / (m - m_old) if m != m_old else math.nan
             if hi == math.inf:

@@ -120,6 +120,8 @@ def _parse_families(text: str) -> list[str]:
     for f in fams:
         if f not in asymptotic.FAMILIES:
             raise DomainError(f"unknown family {f!r}; expected subset of {asymptotic.FAMILIES}")
+    if len(set(fams)) < len(fams):
+        raise DomainError(f"family repeated in {text!r}; each family may appear once")
     if not fams:
         raise DomainError("at least one family required")
     return fams

@@ -461,14 +461,16 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls):
-        # 32 to 34 (BT) and 24 to 26 (BCT) over 401 deltas in [0.05, 0.95],
-        # five from 0.001 to 0.999 and 1e-6, 1e-3 and 1 - 1e-9: the
-        # predicted crossing's upper-side secant and lower-side check, two
-        # margins, and three certified spot checks at two evaluations each.
-        # BT's margin skips the lower gamma search and BCT solves its nu = 1 -
-        # 1e-12 end once per curve.  The looser ceilings above are part of
-        # those tests' ids.
-        for family, ceiling in (("BT", 34), ("BCT", 26)):
+        # 19 to 21 (BT) and 17 to 20 (BCT) over 401 deltas in [0.05, 0.95],
+        # five from 0.001 to 0.999 and 1e-3 and 1 - 1e-9: the predicted
+        # crossing's Newton steps and lower-side check, the certified probe
+        # below it, one margin, and three certified spot checks, each
+        # certificate at two evaluations.  BT's margin starts its gamma search
+        # at the crossing's gamma and skips the lower search; BCT solves its
+        # nu = 1 - 1e-12 end once per curve.  At delta = 1e-6 the first probe's
+        # certificate fails, and its margin brings the count to 29 and 25.  The
+        # looser ceilings above are part of those tests' ids.
+        for family, ceiling in (("BT", 21), ("BCT", 20)):
             net_calls[0] = 0
             l1_phase_transition(d, family)
             assert net_calls[0] <= ceiling
@@ -477,10 +479,11 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_point_takes_few_bound_calls(self, d, family, monkeypatch):
         # BT and BCT probe the predicted crossing -+ 2.5e-9, which brackets
-        # rho* at once, and certify their spot checks without a margin.  CT
-        # searches unseeded: at most six margins from rho = 1e-7 on and three
-        # spot checks.  Each search ends on a bracket no wider than 1e-8.
-        seen = []
+        # rho* at once; the probe below it and the spot checks are certified
+        # without a margin, so one margin is left.  CT searches unseeded: at
+        # most six margins from rho = 1e-7 on and three spot checks.  Each
+        # search ends on a bracket no wider than 1e-8.
+        seen, certified_at = [], []
 
         def spied(margin, delta, certified=None, guess=None):
             def counted(rho):
@@ -488,12 +491,18 @@ class TestPhaseTransition:
                 seen.append((rho, m))
                 return m
 
-            return _phase_search(counted, delta, certified, guess)
+            def recorded(rho):
+                holds = certified(rho)
+                if holds:
+                    certified_at.append(rho)
+                return holds
+
+            return _phase_search(counted, delta, certified and recorded, guess)
 
         monkeypatch.setattr(asymptotic, "_phase_search", spied)
         rho_star = l1_phase_transition(d, family)
-        assert len(seen) <= {"BT": 2, "BCT": 2, "CT": 9}[family]
-        assert dict(seen)[rho_star] > 0.0
+        assert len(seen) <= {"BT": 1, "BCT": 1, "CT": 9}[family]
+        assert rho_star in certified_at or dict(seen)[rho_star] > 0.0
         assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -516,33 +525,43 @@ class TestPhaseTransition:
         # Each side's prediction, the lower one included though the curve
         # never needs it (L stays far below U there), is where that side's
         # bound, solved as the margin solves it, equals sqrt(2) - 1.
+        # BT's upper side also predicts the gamma that its search finds there.
         bt = family == "BT"
-        upper, lower = _crossing(d, bt, 1.0), _crossing(d, bt, -1.0)
+        (upper, gamma_upper), (lower, gamma_lower) = _crossing(d, bt, 1.0), _crossing(d, bt, -1.0)
         if bt:
-            u = math.expm1(optimize_gamma_for_max(d, upper).value)
+            optimum = optimize_gamma_for_max(d, upper)
+            u = math.expm1(optimum.value)
             l = -math.expm1(optimize_gamma_for_min(d, lower).value)
+            assert gamma_upper == pytest.approx(optimum.gamma, rel=1e-9)
         else:
             u = math.expm1(solve_lambda_max(d, upper, upper))
             l = -math.expm1(solve_lambda_min(d, lower, lower))
+            assert (gamma_upper, gamma_lower) == (upper, lower)
         assert u == pytest.approx(L1_THRESHOLD, abs=1e-11)
         assert l == pytest.approx(L1_THRESHOLD, abs=1e-11)
         assert upper < lower
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("family", ["BT", "BCT"])
+    @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0 - 1e-12])
+    def test_crossing_takes_few_evaluations(self, d, family, sign, net_calls):
+        # Newton from gamma = 3e-3 took 4 to 6 net evaluations at these deltas.
+        _crossing(d, family == "BT", sign)
+        assert net_calls[0] <= 6
+
 
 @pytest.fixture
 def gamma_searches(monkeypatch):
-    """Counts the upper and lower BT gamma searches made through asymptotic."""
+    """Counts the upper and lower BT gamma searches made through asymptotic,
+    seeded or not."""
     calls = {"upper": 0, "lower": 0}
+    search = asymptotic._gamma_search
 
-    def counted(side, fn):
-        def wrapper(*args):
-            calls[side] += 1
-            return fn(*args)
+    def counted(sign, *args):
+        calls["upper" if sign > 0.0 else "lower"] += 1
+        return search(sign, *args)
 
-        return wrapper
-
-    monkeypatch.setattr(asymptotic, "optimize_gamma_for_max", counted("upper", optimize_gamma_for_max))
-    monkeypatch.setattr(asymptotic, "optimize_gamma_for_min", counted("lower", optimize_gamma_for_min))
+    monkeypatch.setattr(asymptotic, "_gamma_search", counted)
     return calls
 
 
@@ -584,11 +603,12 @@ class TestMaxBound:
 
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_bt_curve_skips_the_lower_search(self, d, gamma_searches):
-        # Two margins, each one upper search; the spot checks are certified
-        # without one.  U leads L by far more than the slack at every rho
-        # the curve probes (by about 0.09 at rho*), so no lower search runs.
+        # One margin, one upper search; the probe below the guess and the spot
+        # checks are certified without one.  U leads L by far more than the
+        # slack at every rho the curve probes (by about 0.09 at rho*), so no
+        # lower search runs.
         l1_phase_transition(d, "BT")
-        assert gamma_searches["upper"] <= 2
+        assert gamma_searches["upper"] <= 1
         assert gamma_searches["lower"] == 0
 
     @given(
@@ -608,6 +628,25 @@ class TestMaxBound:
             r = min(f * rho_star, 0.999)
             if _certified(d, r):
                 assert L1_THRESHOLD - max_bound(r) > 0.0
+
+    @given(
+        st.floats(min_value=1e-3, max_value=0.999),
+        st.one_of(st.floats(min_value=1e-5, max_value=300.0), st.floats(min_value=1.0, max_value=1.0 + 1e-5)),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_at_a_feasible_gamma_implies_a_positive_margin(self, d, f, t):
+        # For BT the certificate holds at any gamma in [rho, sqrt(2) - 1):
+        # U and L there bound BT's optimized U and L from above.  Tried at
+        # the crossing's gamma, which the curve uses, and at a drawn one; at
+        # rho* + 1e-8, where the margin is not positive, it must fail at both.
+        rho_star, max_bound = l1_phase_transition(d, "BT"), _max_bound("BT", d)
+        gamma_crossing = _crossing(d, True, 1.0)[1]
+        above = rho_star + 1e-8
+        for r in (above, min(f * rho_star, 0.999)):
+            for g in (gamma_crossing, r + t * (L1_THRESHOLD - r)):
+                if _certified(d, r, g):
+                    assert r < above and L1_THRESHOLD - max_bound(r) > 0.0
 
 
 class TestPhaseSearch:
@@ -670,10 +709,19 @@ class TestPhaseSearch:
             assert (rho_star, seen) == self.search(lambda rho: g(r - rho))
 
     def test_a_close_guess_brackets_at_once(self):
+        # The probe below the guess is certified, so one margin, above it, closes the bracket.
         rho_star, seen = self.search(lambda rho: 0.3 - rho, certified=lambda rho: True, guess=0.3)
         quarter = 0.25 * 1e-8
-        assert [x for x, _ in seen] == pytest.approx([0.3 - quarter, 0.3 + quarter], abs=1e-16)
+        assert [x for x, _ in seen] == pytest.approx([0.3 + quarter], abs=1e-16)
         assert rho_star == 0.3 - quarter
+
+    def test_a_certified_first_probe_is_evaluated_when_the_secant_needs_it(self):
+        # A guess 10% low: both probes are feasible, so the secant needs the
+        # certified first probe's margin, which is evaluated then.
+        margin, quarter = lambda rho: 0.3 - rho, 0.25 * 1e-8
+        rho_star, seen = self.search(margin, certified=lambda rho: margin(rho) > 0.0, guess=0.27)
+        assert [x for x, _ in seen[:2]] == pytest.approx([0.27 + quarter, 0.27 - quarter], abs=1e-16)
+        assert rho_star == self.search(margin, guess=0.27)[0]
 
     def test_infeasible_start_returns_zero(self):
         assert self.search(lambda rho: -1.0) == (0.0, [(1e-7, -1.0)])

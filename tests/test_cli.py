@@ -214,6 +214,12 @@ class TestGrid:
         code, _, err = run_cli(capsys, "grid", "--families", "XY")
         assert code == 2
 
+    def test_repeated_family_rejected(self, capsys):
+        # Case-insensitive: BT,bt would solve and write every point twice.
+        code, out, err = run_cli(capsys, "grid", "--delta-steps", "2", "--rho-steps", "2", "--families", "BT,bt")
+        assert code == 2 and out == ""
+        assert "DomainError" in err and "repeated" in err
+
 
 class TestFinite:
     def test_upper_value_matches_library(self, capsys):
@@ -342,6 +348,11 @@ class TestPhase:
         assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
         assert out.count("<polyline") == 2
         assert "log10(rho*)" in out
+
+    def test_repeated_family_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "phase", "--delta-steps", "2", "--families", "BCT,CT,bct")
+        assert code == 2 and out == ""
+        assert "DomainError" in err and "repeated" in err
 
 
 class TestCover:
