@@ -50,7 +50,7 @@ _LOWER_CAP = 1.0 - 1e-9  # top of the lower BT gamma search's interval [rho, _LO
 # defined; the bound there is continuous in nu.
 _NU_TOP = 1.0 - 1e-12
 
-# Step cap of the root loops: the BT gamma search and the phase search.
+# Step cap of the root loops: _newton and the phase search.
 _ROOT_STEPS = 200
 
 
@@ -232,8 +232,31 @@ def _first_order_offset(sign, gamma, y):
     return 0.5 * sign * (_first_order_y(sign, gamma, 0.0) - y)
 
 
+def _newton(g, x, edge, tol, failure, *args):
+    """Root of an increasing g on (-inf, edge] by safeguarded Newton from x < edge;
+    g(x) returns g and its slope.  g is negative far below the root.  lo and hi
+    bracket the root by known signs, g(lo) <= 0 < g(hi); hi starts at the edge.  A
+    step that leaves the bracket, or meets a slope <= 0, bisects it, or while no g
+    <= 0 is known steps down by twice its distance from the edge.  g(edge) is
+    evaluated only once a step reaches the edge before any g > 0 is seen, and g(edge)
+    <= 0 returns None.  It stops on a step below max(tol, 2 ulp(x)), taking it;
+    _ROOT_STEPS steps without that stop raise SolverError(failure.format(*args, lo=lo,
+    hi=hi)), formatted only then."""
+    lo, hi = -math.inf, edge
+    for _ in range(_ROOT_STEPS):
+        value, slope = g(x)
+        lo, hi = (lo, x) if value > 0.0 else (x, hi)
+        step = x - value / slope if slope > 0.0 else -math.inf
+        if abs(step - x) <= max(tol, 2.0 * math.ulp(x)):
+            return step
+        if step >= hi == edge and g(edge)[0] <= 0.0:
+            return None
+        x = step if lo < step < hi else 0.5 * (lo + hi) if lo > -math.inf else 3.0 * hi - 2.0 * edge
+    raise SolverError(failure.format(*args, lo=lo, hi=hi))
+
+
 def _gamma_search(sign, delta, rho, g_edge, solve, start=None) -> GammaOptimum:
-    """Shared body of the BT gamma searches: safeguarded Newton on u = ln(gamma - rho).
+    """Shared body of the BT gamma searches: _newton on u = ln(gamma - rho).
 
     With gamma = rho + o, o = e^u, a = 1 + sign gamma and eps = 2 F(a) / (delta
     a), the gap g(u) = |y| - sign y_1 compares the lambda solve's offset y =
@@ -244,15 +267,13 @@ def _gamma_search(sign, delta, rho, g_edge, solve, start=None) -> GammaOptimum:
     g <= 0 at g_edge puts the optimum there, else g's root is the optimum.
     g' = 2 - o((y_1 + eps) / (a expm1(y)) + 3/gamma - sign/a), as d eps/d gamma
     = -sign (y_1 + eps) / a.  It starts at start, else _first_order_offset of y at
-    gamma = rho, capped at u_edge - 1.  g is concave below its root, so Newton steps from g <= 0 stay below it and one from above
-    lands below it.  A step that leaves the bracket of known signs, or meets
-    a slope <= 0, bisects it, or while no g <= 0 is known steps down by twice
-    its distance from the edge.  The bracket's top is the edge, where g is
-    evaluated only once a step reaches it before any g > 0 is seen.  It
-    stops on a step below max(GAMMA_TOL / 2, 2 ulp(u)) (u reaches -8e7), taking it.
+    gamma = rho, capped at u_edge - 1.  g is concave below its root, so Newton
+    steps from g <= 0 stay below it and one from above lands below it.  It stops
+    on a step below max(GAMMA_TOL / 2, 2 ulp(u)) (u reaches -8e7).
     """
 
-    def gap(u, o):
+    def gap(u):
+        o = math.exp(u)
         gamma = min(rho + o, g_edge)
         a = 1.0 + sign * gamma
         eps = 2.0 * _net_foot(sign, delta, rho, gamma) / (delta * a)
@@ -266,20 +287,12 @@ def _gamma_search(sign, delta, rho, g_edge, solve, start=None) -> GammaOptimum:
     if start is None:
         eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
         start = _first_order_offset(sign, rho, _lambert_y(eps, sign))
-    lo, hi, u = -math.inf, u_edge, min(start, u_edge - 1.0)
-    for _ in range(_ROOT_STEPS):
-        g, slope = gap(u, math.exp(u))
-        lo, hi = (lo, u) if g > 0.0 else (u, hi)
-        x = u - g / slope if slope > 0.0 else -math.inf
-        if abs(x - u) <= max(0.5 * GAMMA_TOL, 2.0 * math.ulp(u)):
-            break
-        if x >= hi == u_edge and gap(u_edge, math.exp(u_edge))[0] <= 0.0:
-            return GammaOptimum(g_edge, solve(delta, rho, g_edge), True, u_edge)
-        u = x if lo < x < hi else 0.5 * (lo + hi) if lo > -math.inf else 3.0 * hi - 2.0 * u_edge
-    else:
-        raise SolverError(f"gamma search left [{lo!r}, {hi!r}] unresolved (delta={delta}, rho={rho})")
-    gamma = min(rho + math.exp(x), g_edge)
-    return GammaOptimum(gamma, solve(delta, rho, gamma), False, x)
+    u = _newton(gap, min(start, u_edge - 1.0), u_edge, 0.5 * GAMMA_TOL,
+                "gamma search left [{lo!r}, {hi!r}] unresolved (delta={}, rho={})", delta, rho)
+    if u is None:
+        return GammaOptimum(g_edge, solve(delta, rho, g_edge), True, u_edge)
+    gamma = min(rho + math.exp(u), g_edge)
+    return GammaOptimum(gamma, solve(delta, rho, gamma), False, u)
 
 
 def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
@@ -377,49 +390,54 @@ def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
     raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
 
 
-def _net_at_threshold(sign, delta, rho, gamma):
-    """Net exponent at lambda = 1 + sign (sqrt(2) - 1), where U (sign > 0) or L meets sqrt(2) - 1."""
-    return (_net_max_raw(1.0 + L1_THRESHOLD, delta, rho, gamma) if sign > 0.0
-            else _net_min_log_lambda(math.log1p(-L1_THRESHOLD), delta, rho, gamma))
-
-
 def _certified(delta, rho, gamma=None):
     """True when U and L at one gamma in [rho, sqrt(2) - 1), rho if None, lie
-    below sqrt(2) - 1: both levels lie past the feet 1 +- gamma, where each
-    net exponent is negative only beyond its root.  U and L at any feasible
-    gamma bound BT's from above, and at gamma = rho BCT's too.  The slack
+    below sqrt(2) - 1: the net exponents at lambda = sqrt(2) and 2 - sqrt(2), past
+    the feet 1 +- gamma, are negative only beyond their roots.  U and L at any
+    feasible gamma bound BT's from above, and at gamma = rho BCT's too.  The slack
     covers the margin's residual gate and the rounding of F."""
     gamma = rho if gamma is None else gamma
     return rho <= gamma < L1_THRESHOLD and max(
-        _net_at_threshold(s, delta, rho, gamma) for s in (1.0, -1.0)) < -2.0 * RESIDUAL_TOL
+        _net_max_raw(1.0 + L1_THRESHOLD, delta, rho, gamma),
+        _net_min_log_lambda(math.log1p(-L1_THRESHOLD), delta, rho, gamma)) < -2.0 * RESIDUAL_TOL
 
 
-def _crossing(delta, bt, sign):
-    """Predicted (rho, gamma) where U (sign > 0) or L of BT (bt) or BCT meets sqrt(2) - 1,
-    by Newton in x = ln gamma from 3e-3 to a last step of 1e-8 on the net exponent f at
-    lambda = 1 + sign (sqrt(2) - 1) along gamma -> rho.  BCT has rho = gamma and f' =
-    gamma delta (dpsi/dgamma + ln((1 - gamma delta) / (gamma delta))).  BT has rho = gamma
-    - e^u, u the _first_order_offset, where dF/dgamma = 0, so f' = (dF/drho)(drho/dx) =
-    delta ln((1 - rho delta) / (delta e^u)) (gamma - e^u du/dx), du/dx = 3/2 or 3/2 + gamma/(1 - gamma)."""
-    log_lam = math.log1p(sign * L1_THRESHOLD)
+def _crossing(delta, family):
+    """Predicted (rho, gamma) where U of the family meets sqrt(2) - 1, by _newton in
+    x = ln gamma from 3e-3 to a last step of 1e-8; gamma is BT's, None for BCT (gamma
+    = rho) and CT.  BT and BCT solve the net exponent F at lambda = sqrt(2) along gamma
+    -> rho, BCT's with rho = gamma and F' = gamma delta (dpsi/dgamma + ln((1 - gamma
+    delta) / (gamma delta))).  BT has rho = gamma - e^u, u the _first_order_offset,
+    where dF/dgamma = 0, so F' = delta ln((1 - rho delta) / (delta e^u)) (gamma - 3 e^u
+    / 2).  At the edge gamma = 1, F >= delta psi_max(sqrt(2), 1) > 0 by H's concavity.
+    CT's U = (1 + s)^2 - 1, s = sqrt(rho) + sqrt(2 H(delta rho) / delta), lies above its
+    L, so it solves s = 2^(1/4) - 1 in x = ln rho, s > 1 at the edge."""
+    log_lam = math.log1p(L1_THRESHOLD)
+    offset = lambda gamma: math.exp(_first_order_offset(1.0, gamma, log_lam - math.log1p(gamma)))
 
-    def on_curve(x):
-        gamma = math.exp(x)
-        if not bt:
-            dpsi = 0.5 * (log_lam - x) if sign > 0.0 else math.log((1.0 - gamma) / gamma) + 0.5 * (x - log_lam)
-            return gamma, gamma, gamma * delta * (dpsi + math.log((1.0 - gamma * delta) / (gamma * delta)))
-        o = math.exp(_first_order_offset(sign, gamma, log_lam - math.log1p(sign * gamma)))
-        du = 1.5 if sign > 0.0 else 1.5 + gamma / (1.0 - gamma)
-        return gamma - o, gamma, delta * math.log((1.0 - (gamma - o) * delta) / (delta * o)) * (gamma - o * du)
-
-    x = math.log(3e-3)
-    for _ in range(_ROOT_STEPS):
-        rho, gamma, slope = on_curve(x)
-        step = _net_at_threshold(sign, delta, rho, gamma) / slope
-        x -= step
-        if abs(step) <= 1e-8:
-            break
-    return on_curve(x)[:2]
+    if family == "BT":
+        def f(x):
+            gamma = math.exp(x)
+            o = offset(gamma)
+            rho = gamma - o
+            return (_net_max_raw(1.0 + L1_THRESHOLD, delta, rho, gamma),
+                    delta * math.log((1.0 - rho * delta) / (delta * o)) * (gamma - o * 1.5))
+    elif family == "BCT":
+        def f(x):
+            rho = math.exp(x)
+            return (_net_max_raw(1.0 + L1_THRESHOLD, delta, rho, rho),
+                    rho * delta * (0.5 * (log_lam - x) + math.log((1.0 - rho * delta) / (rho * delta))))
+    elif family == "CT":
+        def f(x):
+            rho = math.exp(x)
+            root, spread = math.sqrt(rho), math.sqrt(2.0 / delta * shannon_entropy(delta * rho))
+            return (root + spread - (2.0**0.25 - 1.0),
+                    0.5 * root + rho * math.log((1.0 - delta * rho) / (delta * rho)) / spread)
+    else:
+        raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
+    x = _newton(f, math.log(3e-3), 0.0, 1e-8, "{} crossing left [{lo!r}, {hi!r}] unresolved (delta={})", family, delta)
+    gamma = math.exp(x)
+    return (gamma - offset(gamma), gamma) if family == "BT" else (gamma, None)
 
 
 def _max_bound(family: str, delta: float, gamma=None):
@@ -453,79 +471,49 @@ def _max_bound(family: str, delta: float, gamma=None):
 
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
     """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by _phase_search
-    on (sqrt(2) - 1) - _max_bound.  BT and BCT guess the smaller _crossing (the lower
-    side's only where L < sqrt(2) - 1 fails at gamma = rho there), which brackets rho*
-    at once.  BT starts its margin's upper gamma search and certifies at the crossing's
-    gamma, BCT at gamma = rho: 1 margin and 19-21 net-exponent evaluations per BT curve,
-    17-20 per BCT curve.  CT searches unseeded, at about 6 margins.  L and U bound RICs
-    of order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
+    on (sqrt(2) - 1) - _max_bound, which the guess of _crossing brackets at once.  BT
+    starts its margin's upper gamma search and certifies at the crossing's gamma, BCT
+    at gamma = rho: 1 margin and 17-20 net-exponent evaluations per BT curve, 16-19
+    per BCT curve, for delta above about 4e-5; below, 2 margins and at most 28 and 24.
+    CT takes 2 margins and 3 spot checks, all closed forms.  L and U bound RICs of order k = rho n, so by delta_2k < sqrt(2) - 1
+    it certifies (rho/2) n-sparse recovery."""
     _validate_point(delta, 0.5)
-    guess = gamma = certified = None
-    if family in ("BT", "BCT"):
-        guess, gamma = _crossing(delta, family == "BT", 1.0)
-        if not _net_at_threshold(-1.0, delta, guess, guess) < 0.0:
-            guess, gamma = min((guess, gamma), _crossing(delta, family == "BT", -1.0))
-        gamma = gamma if family == "BT" else None
-        certified = lambda rho: _certified(delta, rho, gamma)
+    guess, gamma = _crossing(delta, family)
+    certified = None if family == "CT" else lambda rho: _certified(delta, rho, gamma)
     max_bound = _max_bound(family, delta, gamma)
     return _phase_search(lambda rho: L1_THRESHOLD - max_bound(rho), delta, certified, guess)
 
 
 def _phase_search(margin, delta: float, certified=None, guess=None) -> float:
-    """Largest rho with margin m(rho) > 0 (delta only names the curve in errors),
-    by a bracketed secant in sqrt(rho), in which m is close to linear.  lo is
-    the newest rho with m > 0 and hi the newest with m <= 0.  The first probes
-    are guess -+ 2.5e-9, for a guess in (1e-7 + 1e-8, 1 - 1e-12 - 1e-8), so a
-    guess that close to the crossing ends the search at once; else 1e-7 and
-    2e-3.  certified(rho), if given and true, is a cheaper proof of m > 0; at
-    guess - 2.5e-9 it leaves m = None until a secant step needs it.  1e-7 is
-    probed whenever no m > 0 is known yet, and m(1e-7) <= 0 returns 0.0.  Each
-    later step is the secant root in sqrt(rho) through the two newest points,
-    kept at least 5e-9 inside [lo, hi].  Until hi is found, a step that does
-    not point above lo moves to 3 lo - 2e-7 instead, capped at 1 - 1e-12, where
-    m > 0 raises SolverError.  Once bracketed, it bisects where the secant root
-    leaves (lo, hi) or where the newest step was more than half as long as the
-    one before it (Brent's rule).  It stops when hi - lo <= 1e-8 and returns lo.
-    Monotone feasibility in rho is assumed and spot-checked at fractions of lo,
-    by certified if true, else by m."""
+    """Largest rho with margin m(rho) > 0 (delta only names the curve in errors).  lo
+    is the largest rho seen with m > 0, hi the smallest with m <= 0.  A guess in
+    (1e-7 + 1e-8, 1 - 1e-12 - 1e-8) is probed at guess - 2.5e-9, where certified(rho),
+    if given and true, is a cheaper proof of m > 0, and then at guess + 2.5e-9, so a
+    guess that close to the crossing brackets rho* at once.  Otherwise, or where the
+    guess misses, it bisects: it probes 1e-7 while no m > 0 is known, and m(1e-7) <= 0
+    returns 0.0; then 1 - 1e-12 while no m <= 0 is known, where m > 0 raises
+    SolverError; then midpoints.  It stops when hi - lo <= 1e-8 and returns lo.
+    Monotone feasibility in rho is assumed and spot-checked at fractions of lo, by
+    certified if true, else by m."""
     start, top, tol = 1e-7, 1.0 - 1e-12, 1e-8
     seeded = guess is not None and start + tol < guess < top - tol
-    x, second = (guess - 0.25 * tol, guess + 0.25 * tol) if seeded else (start, 2e-3)
-    lo, hi, x_old, m_old = 0.0, math.inf, None, None  # lo = 0.0 until some m > 0 is seen
-    w1 = w2 = math.inf  # lengths of the newest step and the one before, inf until bracketed
+    first, second = (guess - 0.25 * tol, guess + 0.25 * tol) if seeded else (start, top)
+    lo, hi, x = 0.0, math.inf, first  # lo = 0.0 until some m > 0 is seen
     for _ in range(_ROOT_STEPS):
-        m = None if seeded and x_old is None and certified is not None and certified(x) else margin(x)
-        if m is None or m > 0.0:
+        if seeded and x == first and certified is not None and certified(x) or margin(x) > 0.0:
             if x == top:
                 raise SolverError(f"margin still positive at rho={top!r} (delta={delta})")
             lo = x
+        elif x == start:
+            return 0.0
         else:
             hi = x
         if hi - lo <= tol:
             break
-        if lo == 0.0:
-            if x == start:
-                return 0.0
-            step = start
-        elif x_old is None:
-            step = second
-        else:
-            m_old = margin(x_old) if m_old is None else m_old
-            s, s_old = math.sqrt(x), math.sqrt(x_old)
-            t = s - m * (s - s_old) / (m - m_old) if m != m_old else math.nan
-            if hi == math.inf:
-                step = t * t if m < m_old else 3.0 * lo - 2.0 * start
-            elif math.sqrt(lo) < t < math.sqrt(hi) and not w1 > 0.5 * w2:
-                step = t * t
-            else:
-                step = 0.5 * (lo + hi)
-        x_old, m_old, x = x, m, min(max(step, lo + 0.5 * tol), hi - 0.5 * tol, top)
-        w2, w1 = w1, abs(x - x_old) if hi < math.inf else math.inf
+        x = start if lo == 0.0 else second if x == first else top if hi == math.inf else 0.5 * (lo + hi)
     else:
         raise SolverError(f"phase search left [{lo!r}, {hi!r}] wider than {tol:g} (delta={delta})")
     for frac in (0.25, 0.5, 0.9):
         if not (certified is not None and certified(frac * lo) or margin(frac * lo) > 0.0):
-            raise SolverError(
-                f"feasibility not monotone below rho*={lo} at delta={delta}"
-            )
+            raise SolverError(f"feasibility not monotone below rho*={lo} at delta={delta}")
     return lo
