@@ -16,6 +16,7 @@ from ricbounds.asymptotic import (
     _crossing,
     _lambert_y,
     _max_bound,
+    _newton,
     _phase_search,
     bct_bounds,
     bt_bounds,
@@ -519,7 +520,7 @@ class TestPhaseTransition:
         assert abs(l1_phase_transition(d, family) - lo) <= 1e-8
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("d", [1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9])
+    @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0 - 1e-12])
     def test_predicted_crossing_puts_u_at_the_threshold(self, d, family):
         # The prediction is where U, solved as the margin solves it, equals
         # sqrt(2) - 1.  BT's also predicts the gamma that its search finds there.
@@ -533,12 +534,24 @@ class TestPhaseTransition:
             assert gamma is None
         assert u == pytest.approx(L1_THRESHOLD, abs=1e-11)
 
-    @pytest.mark.parametrize("family", ["BT", "BCT"])
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0 - 1e-12])
-    def test_crossing_takes_few_evaluations(self, d, family, net_calls):
-        # Newton from gamma = 3e-3 took 4 to 6 net evaluations at these deltas.
+    def test_crossing_takes_few_evaluations(self, d, family, net_calls, monkeypatch):
+        # Newton from gamma = 3e-3 took 4 to 6 steps at these deltas.  Each is
+        # one net evaluation for BT and BCT; CT's closed form needs none.
+        steps = [0]
+
+        def spied(g, *args):
+            def counted(x):
+                steps[0] += 1
+                return g(x)
+
+            return _newton(counted, *args)
+
+        monkeypatch.setattr(asymptotic, "_newton", spied)
         _crossing(d, family)
-        assert net_calls[0] <= 6
+        assert steps[0] <= 6
+        assert net_calls[0] == (0 if family == "CT" else steps[0])
 
     def test_unknown_family_raises_before_any_evaluation(self, net_calls):
         with pytest.raises(DomainError, match="unknown bound family 'XX'"):
@@ -713,6 +726,16 @@ class TestPhaseSearch:
         quarter = 0.25 * 1e-8
         assert [x for x, _ in seen] == pytest.approx([0.3 + quarter], abs=1e-16)
         assert rho_star == 0.3 - quarter
+
+    def test_a_certified_first_probe_that_misses_falls_back_to_bisection(self):
+        # A guess 10% low: both probes are feasible, so the search bisects up
+        # from the second one.  The certified first probe is never evaluated,
+        # and rho* is the one that the uncertified search finds.
+        margin, quarter = lambda rho: 0.3 - rho, 0.25 * 1e-8
+        rho_star, seen = self.search(margin, certified=lambda rho: margin(rho) > 0.0, guess=0.27)
+        assert seen[0][0] == pytest.approx(0.27 + quarter, abs=1e-16)
+        assert all(x != pytest.approx(0.27 - quarter, abs=1e-16) for x, _ in seen)
+        assert rho_star == self.search(margin, guess=0.27)[0]
 
     def test_infeasible_start_returns_zero(self):
         assert self.search(lambda rho: -1.0) == (0.0, [(1e-7, -1.0)])
