@@ -255,7 +255,7 @@ def _newton(g, x, edge, tol, failure, *args):
     raise SolverError(failure.format(*args, lo=lo, hi=hi))
 
 
-def _gamma_search(sign, delta, rho, g_edge, solve, start=None) -> GammaOptimum:
+def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
     """Shared body of the BT gamma searches: _newton on u = ln(gamma - rho).
 
     With gamma = rho + o, o = e^u, a = 1 + sign gamma and eps = 2 F(a) / (delta
@@ -266,10 +266,10 @@ def _gamma_search(sign, delta, rho, g_edge, solve, start=None) -> GammaOptimum:
     it, so g > 0 exactly where lambda_1 lies between the foot and F's root:
     g <= 0 at g_edge puts the optimum there, else g's root is the optimum.
     g' = 2 - o((y_1 + eps) / (a expm1(y)) + 3/gamma - sign/a), as d eps/d gamma
-    = -sign (y_1 + eps) / a.  It starts at start, else _first_order_offset of y at
-    gamma = rho, capped at u_edge - 1.  g is concave below its root, so Newton
-    steps from g <= 0 stay below it and one from above lands below it.  It stops
-    on a step below max(GAMMA_TOL / 2, 2 ulp(u)) (u reaches -8e7).
+    = -sign (y_1 + eps) / a.  It starts at _first_order_offset of y at gamma = rho,
+    capped at u_edge - 1.  g is concave below its root, so Newton steps from g <= 0
+    stay below it and one from above lands below it.  It stops on a step below
+    max(GAMMA_TOL / 2, 2 ulp(u)) (u reaches -8e7).
     """
 
     def gap(u):
@@ -280,19 +280,22 @@ def _gamma_search(sign, delta, rho, g_edge, solve, start=None) -> GammaOptimum:
         y, y1 = _lambert_y(eps, sign), _first_order_y(sign, gamma, u)
         return sign * (y - y1), 2.0 - o * ((y1 + eps) / (a * math.expm1(y)) + 3.0 / gamma - sign / a)
 
-    if sign > 0.0 and delta < 2.0**-52:
-        raise DomainError(f"delta={delta} below 2**-52: at gamma = 1/delta the terms of the"
-                          " upper net exponent cancel below one ulp")
     u_edge = math.log(g_edge - rho)
-    if start is None:
-        eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
-        start = _first_order_offset(sign, rho, _lambert_y(eps, sign))
+    eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
+    start = _first_order_offset(sign, rho, _lambert_y(eps, sign))
     u = _newton(gap, min(start, u_edge - 1.0), u_edge, 0.5 * GAMMA_TOL,
                 "gamma search left [{lo!r}, {hi!r}] unresolved (delta={}, rho={})", delta, rho)
     if u is None:
         return GammaOptimum(g_edge, solve(delta, rho, g_edge), True, u_edge)
     gamma = min(rho + math.exp(u), g_edge)
     return GammaOptimum(gamma, solve(delta, rho, gamma), False, u)
+
+
+def _check_upper_delta(delta):
+    """BT's upper side refuses delta below 2**-52 rather than return U ~ 1/delta."""
+    if delta < 2.0**-52:
+        raise DomainError(f"delta={delta} below 2**-52: at gamma = 1/delta the terms of the"
+                          " upper net exponent cancel below one ulp")
 
 
 def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
@@ -304,6 +307,7 @@ def optimize_gamma_for_max(delta: float, rho: float) -> GammaOptimum:
     delta = 2**-52 it raises DomainError rather than return U ~ 1/delta.
     """
     _validate_point(delta, rho)
+    _check_upper_delta(delta)
     return _gamma_search(1.0, delta, rho, 1.0 / delta, solve_lambda_max)
 
 
@@ -338,13 +342,6 @@ def bt_bounds(delta: float, rho: float) -> AsymptoticBound:
                   log_gamma_offset_min=upper.log_offset, log_gamma_offset_max=lower.log_offset)
 
 
-def _bct_upper(rho, log_rho, log_top):
-    """BCT's (nu_opt, ln lambda^max) at the lower of its nu ends, rho and
-    max(rho, _NU_TOP): nu never drops below rho, where the bound would not
-    cover sparsity rho.  A tie keeps rho."""
-    return (max(rho, _NU_TOP), log_top) if log_top < log_rho else (rho, log_rho)
-
-
 def bct_bounds(delta: float, rho: float) -> AsymptoticBound:
     """gamma = rho bounds, upper side tightened over relaxed sparsity.
 
@@ -359,14 +356,14 @@ def bct_bounds(delta: float, rho: float) -> AsymptoticBound:
     + ln((1 - nu delta)/(nu delta)).  Wherever g = 0, lambda' = 0 too, so
     there g'(nu) = -1/(2 nu) - delta/(1 - nu delta) - 1/nu < 0: g crosses
     zero at most once, downward, so lambda rises and then may fall and has
-    no interior minimum.  _bct_upper compares the two ends in ln lambda.
-    The nu = _NU_TOP end does not depend on rho: the phase curve solves it
-    once per curve, so its points take two lambda solves, not three.
+    no interior minimum, so the two ends are compared in ln lambda, the
+    right one at max(rho, _NU_TOP): nu never drops below rho, where the
+    bound would not cover sparsity rho.  A tie keeps rho.
     """
     _validate_point(delta, rho)
     log_min, nu_top = solve_lambda_min(delta, rho, rho), max(rho, _NU_TOP)
     log_rho, log_top = solve_lambda_max(delta, rho, rho), solve_lambda_max(delta, nu_top, nu_top)
-    nu_opt, log_max = _bct_upper(rho, log_rho, log_top)
+    nu_opt, log_max = (nu_top, log_top) if log_top < log_rho else (rho, log_rho)
     return _bound("BCT", delta, rho, log_max, log_min, gamma_min=rho, gamma_max=rho, nu_opt=nu_opt)
 
 
@@ -390,16 +387,17 @@ def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
     raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
 
 
-def _certified(delta, rho, gamma=None):
-    """True when U and L at one gamma in [rho, sqrt(2) - 1), rho if None, lie
-    below sqrt(2) - 1: the net exponents at lambda = sqrt(2) and 2 - sqrt(2), past
-    the feet 1 +- gamma, are negative only beyond their roots.  U and L at any
-    feasible gamma bound BT's from above, and at gamma = rho BCT's too.  The slack
-    covers the margin's residual gate and the rounding of F."""
-    gamma = rho if gamma is None else gamma
+def _below_threshold(delta, rho, gamma):
+    """True when U and L at one gamma in [rho, sqrt(2) - 1) lie below sqrt(2) - 1: the net
+    exponents F at lambda = sqrt(2) and 2 - sqrt(2), past the feet 1 +- gamma, are negative
+    only beyond their roots.  U and L at any such gamma bound BT's from above; at gamma = rho
+    they are BCT's.  At fixed gamma, dF/drho = delta ln((1 - rho delta) / (delta (gamma -
+    rho))) > 0, and BT's crossing gamma minimises F at lambda = sqrt(2) there, so at that
+    gamma the test holds below the crossing and fails above it.  The slack covers the
+    rounding of F, which is delta times the canonical eps a / 2."""
     return rho <= gamma < L1_THRESHOLD and max(
         _net_max_raw(1.0 + L1_THRESHOLD, delta, rho, gamma),
-        _net_min_log_lambda(math.log1p(-L1_THRESHOLD), delta, rho, gamma)) < -2.0 * RESIDUAL_TOL
+        _net_min_log_lambda(math.log1p(-L1_THRESHOLD), delta, rho, gamma)) < -2.0 * RESIDUAL_TOL * delta
 
 
 def _crossing(delta, family):
@@ -440,69 +438,42 @@ def _crossing(delta, family):
     return (gamma - offset(gamma), gamma) if family == "BT" else (gamma, None)
 
 
-def _max_bound(family: str, delta: float, gamma=None):
-    """rho -> max(L, U), solving only the side that sets the max; without a seed
-    gamma, bit for bit max(b.L, b.U) of compute_bounds(family, delta, rho).  BT
-    starts its upper search at ln(gamma - rho) where gamma > rho, else as
-    optimize_gamma_for_max, and solves L at its gamma clamped into [rho, _LOWER_CAP],
-    never below the lower search's L; where it lies below U by more than 1e-9 (1 + U),
-    rounding only (a lambda solve's ulps, O(GAMMA_TOL^2) from a gamma search's stop),
-    the max is U.  BCT solves its nu = _NU_TOP end once per curve; CT runs compute_bounds."""
-    if family == "BCT":
-        log_top = solve_lambda_max(delta, _NU_TOP, _NU_TOP)
-
-    def max_bound(rho):
-        if family == "BT":
-            start = math.log(gamma - rho) if gamma is not None and gamma > rho else None
-            upper = _gamma_search(1.0, delta, rho, 1.0 / delta, solve_lambda_max, start)
-            u = math.expm1(upper.value)
-            if -math.expm1(solve_lambda_min(delta, rho, max(rho, min(upper.gamma, _LOWER_CAP)))) < u - 1e-9 * (1.0 + u):
-                return u
-            return max(-math.expm1(optimize_gamma_for_min(delta, rho).value), u)
-        if family == "BCT":
-            log_min, log_max = solve_lambda_min(delta, rho, rho), solve_lambda_max(delta, rho, rho)
-            log_max = _bct_upper(rho, log_max, log_top if rho < _NU_TOP else log_max)[1]
-            return max(-math.expm1(log_min), math.expm1(log_max))
-        b = compute_bounds(family, delta, rho)
-        return max(b.L, b.U)
-
-    return max_bound
-
-
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
     """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by _phase_search
-    on (sqrt(2) - 1) - _max_bound, which the guess of _crossing brackets at once.  BT
-    starts its margin's upper gamma search and certifies at the crossing's gamma, BCT
-    at gamma = rho: 1 margin and 17-20 net-exponent evaluations per BT curve, 16-19
-    per BCT curve, for delta above about 4e-5; below, 2 margins and at most 28 and 24.
-    CT takes 2 margins and 3 spot checks, all closed forms.  L and U bound RICs of order k = rho n, so by delta_2k < sqrt(2) - 1
-    it certifies (rho/2) n-sparse recovery."""
+    from the guess of _crossing.  BT and BCT decide by _below_threshold at the crossing's
+    gamma and at gamma = rho, with no lambda solve and at most 16 net-exponent evaluations
+    per curve; CT by its closed forms.  BT refuses delta < 2**-52, as its bounds do.  L and
+    U bound RICs of order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2)
+    n-sparse recovery."""
     _validate_point(delta, 0.5)
     guess, gamma = _crossing(delta, family)
-    certified = None if family == "CT" else lambda rho: _certified(delta, rho, gamma)
-    max_bound = _max_bound(family, delta, gamma)
-    return _phase_search(lambda rho: L1_THRESHOLD - max_bound(rho), delta, certified, guess)
+    if family == "BT":
+        _check_upper_delta(delta)
+        below = lambda rho: _below_threshold(delta, rho, gamma)
+    elif family == "BCT":
+        below = lambda rho: _below_threshold(delta, rho, rho)
+    else:
+        def below(rho):
+            b = ct_bounds(delta, rho)
+            return max(b.L, b.U) < L1_THRESHOLD
+    return _phase_search(below, delta, guess)
 
 
-def _phase_search(margin, delta: float, certified=None, guess=None) -> float:
-    """Largest rho with margin m(rho) > 0 (delta only names the curve in errors).  lo
-    is the largest rho seen with m > 0, hi the smallest with m <= 0.  A guess in
-    (1e-7 + 1e-8, 1 - 1e-12 - 1e-8) is probed at guess - 2.5e-9, where certified(rho),
-    if given and true, is a cheaper proof of m > 0, and then at guess + 2.5e-9, so a
-    guess that close to the crossing brackets rho* at once.  Otherwise, or where the
-    guess misses, it bisects: it probes 1e-7 while no m > 0 is known, and m(1e-7) <= 0
-    returns 0.0; then 1 - 1e-12 while no m <= 0 is known, where m > 0 raises
-    SolverError; then midpoints.  It stops when hi - lo <= 1e-8 and returns lo.
-    Monotone feasibility in rho is assumed and spot-checked at fractions of lo, by
-    certified if true, else by m."""
+def _phase_search(below, delta: float, guess=None) -> float:
+    """Largest rho where below(rho) holds; delta only names the curve in errors.  lo is
+    the largest rho seen where it holds, hi the smallest where it fails.  A guess in (1e-7
+    + 1e-8, 1 - 1e-12 - 1e-8) is probed at guess -+ 2.5e-9, lower side first; else, or
+    where that misses, it bisects: 1e-7 while no rho holds (a failure returns 0.0), 1 -
+    1e-12 while none fails (success raises SolverError), then midpoints.  It stops at hi -
+    lo <= 1e-8 and returns lo, after spot checks of monotone feasibility at fractions of lo."""
     start, top, tol = 1e-7, 1.0 - 1e-12, 1e-8
     seeded = guess is not None and start + tol < guess < top - tol
     first, second = (guess - 0.25 * tol, guess + 0.25 * tol) if seeded else (start, top)
-    lo, hi, x = 0.0, math.inf, first  # lo = 0.0 until some m > 0 is seen
+    lo, hi, x = 0.0, math.inf, first  # lo = 0.0 until a feasible rho is seen
     for _ in range(_ROOT_STEPS):
-        if seeded and x == first and certified is not None and certified(x) or margin(x) > 0.0:
+        if below(x):
             if x == top:
-                raise SolverError(f"margin still positive at rho={top!r} (delta={delta})")
+                raise SolverError(f"still feasible at rho={top!r} (delta={delta})")
             lo = x
         elif x == start:
             return 0.0
@@ -514,6 +485,6 @@ def _phase_search(margin, delta: float, certified=None, guess=None) -> float:
     else:
         raise SolverError(f"phase search left [{lo!r}, {hi!r}] wider than {tol:g} (delta={delta})")
     for frac in (0.25, 0.5, 0.9):
-        if not (certified is not None and certified(frac * lo) or margin(frac * lo) > 0.0):
+        if not below(frac * lo):
             raise SolverError(f"feasibility not monotone below rho*={lo} at delta={delta}")
     return lo

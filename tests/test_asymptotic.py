@@ -12,10 +12,9 @@ from ricbounds.asymptotic import (
     FAMILIES,
     L1_THRESHOLD,
     GammaOptimum,
-    _certified,
+    _below_threshold,
     _crossing,
     _lambert_y,
-    _max_bound,
     _newton,
     _phase_search,
     bct_bounds,
@@ -58,6 +57,32 @@ def net_calls(monkeypatch):
     monkeypatch.setattr(asymptotic, "_net_max_raw", counted(_net_max_raw))
     monkeypatch.setattr(asymptotic, "_net_min_log_lambda", counted(_net_min_log_lambda))
     return calls
+
+
+def bounds_below(family, delta, rho):
+    """max(L, U) < sqrt(2) - 1 from compute_bounds(family, delta, rho)."""
+    b = compute_bounds(family, delta, rho)
+    return max(b.L, b.U) < L1_THRESHOLD
+
+
+def phase_predicate(delta, family):
+    """rho* from l1_phase_transition(delta, family), the predicate it hands the phase
+    search, and every (rho, predicate(rho)) pair the search asked."""
+    handed, seen = [], []
+
+    def spied(below, *args):
+        def counted(rho):
+            holds = below(rho)
+            seen.append((rho, holds))
+            return holds
+
+        handed.append(below)
+        return _phase_search(counted, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asymptotic, "_phase_search", spied)
+        rho_star = l1_phase_transition(delta, family)
+    return rho_star, handed[0], seen
 
 
 class TestLambdaSolvers:
@@ -460,63 +485,39 @@ class TestPhaseTransition:
         l1_phase_transition(d, family)
         assert net_calls[0] <= ceiling
 
-    @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("d", [1e-9, 1e-6, 0.05, 0.5, 0.95])
     def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls):
-        # 18 to 19 (BT) and 16 to 18 (BCT) over 401 deltas in [0.05, 0.95],
-        # and 20 and 19 at delta = 0.001: the predicted crossing's Newton
-        # steps, the certified probe below it, one margin, and three certified
-        # spot checks, each certificate at two evaluations.  BT's margin starts
-        # its gamma search at the crossing's gamma and skips the lower search;
-        # BCT solves its nu = 1 - 1e-12 end once per curve.  At delta = 1e-6
-        # the first probe's certificate fails, and its margin brings the count
-        # to 28 and 24.  The looser ceilings above are part of those tests' ids.
-        for family, ceiling in (("BT", 20), ("BCT", 19)):
+        # 13 to 16 for BT and for BCT over 2200 deltas from 1e-9 to 1 - 1e-12:
+        # the predicted crossing's Newton steps, then two probes and three
+        # spot checks of the threshold test, each at two evaluations and none
+        # a lambda solve.  The looser ceilings above are part of those tests' ids.
+        for family, ceiling in (("BT", 16), ("BCT", 16)):
             net_calls[0] = 0
             l1_phase_transition(d, family)
             assert net_calls[0] <= ceiling
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
-    def test_phase_point_takes_few_bound_calls(self, d, family, monkeypatch):
+    def test_phase_point_takes_few_bound_calls(self, d, family):
         # Each family probes its predicted crossing -+ 2.5e-9, which brackets
-        # rho* at once.  For BT and BCT the probe below it and the spot checks
-        # are certified without a margin, so one margin is left; CT has no
-        # certificate and takes both probes and three spot checks.  Each
-        # search ends on a bracket no wider than 1e-8.
-        seen, certified_at = [], []
-
-        def spied(margin, delta, certified=None, guess=None):
-            def counted(rho):
-                m = margin(rho)
-                seen.append((rho, m))
-                return m
-
-            def recorded(rho):
-                holds = certified(rho)
-                if holds:
-                    certified_at.append(rho)
-                return holds
-
-            return _phase_search(counted, delta, certified and recorded, guess)
-
-        monkeypatch.setattr(asymptotic, "_phase_search", spied)
-        rho_star = l1_phase_transition(d, family)
-        assert len(seen) <= {"BT": 1, "BCT": 1, "CT": 5}[family]
-        assert rho_star in certified_at or dict(seen)[rho_star] > 0.0
-        assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
+        # rho* at once, and spot-checks three fractions of rho*: five calls of
+        # its predicate.  Each search ends on a bracket no wider than 1e-8.
+        rho_star, _, seen = phase_predicate(d, family)
+        assert len(seen) == 5
+        assert dict(seen)[rho_star]
+        assert any(rho_star < x <= rho_star + 1e-8 and not holds for x, holds in seen)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9])
     def test_matches_a_plain_bisection(self, d, family):
-        # Bisection on the same margin, from a feasible 1e-7 and an
-        # infeasible 0.1 down to a 1e-10 bracket, so its lo lies within
-        # 1e-10 below the crossing and the search's within 1e-8.
-        max_bound = _max_bound(family, d)
+        # Bisection on compute_bounds, from a feasible 1e-7 and an infeasible
+        # 0.1 down to a 1e-10 bracket, so its lo lies within 1e-10 below the
+        # crossing and the search's within 1e-8.
         lo, hi = 1e-7, 0.1
-        assert L1_THRESHOLD - max_bound(lo) > 0.0 and not L1_THRESHOLD - max_bound(hi) > 0.0
+        assert bounds_below(family, d, lo) and not bounds_below(family, d, hi)
         while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if L1_THRESHOLD - max_bound(mid) > 0.0 else (lo, mid)
+            lo, hi = (mid, hi) if bounds_below(family, d, mid) else (lo, mid)
         assert abs(l1_phase_transition(d, family) - lo) <= 1e-8
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -558,11 +559,19 @@ class TestPhaseTransition:
             l1_phase_transition(0.5, "XX")
         assert net_calls[0] == 0
 
+    @pytest.mark.parametrize("d", [1e-20, 1e-300])
+    def test_bt_refuses_delta_below_one_ulp(self, d):
+        # As its bounds do; BCT and CT have no gamma = 1/delta edge and still
+        # return a value.
+        with pytest.raises(DomainError, match=r"2\*\*-52"):
+            l1_phase_transition(d, "BT")
+        for family in ("BCT", "CT"):
+            assert 0.0 < l1_phase_transition(d, family) < 1e-3
+
 
 @pytest.fixture
 def gamma_searches(monkeypatch):
-    """Counts the upper and lower BT gamma searches made through asymptotic,
-    seeded or not."""
+    """Counts the upper and lower BT gamma searches made through asymptotic."""
     calls = {"upper": 0, "lower": 0}
     search = asymptotic._gamma_search
 
@@ -574,69 +583,75 @@ def gamma_searches(monkeypatch):
     return calls
 
 
-def outcome(fn):
-    """fn(), or the type of the package error it raised."""
-    try:
-        return fn()
-    except RicBoundsError as err:
-        return type(err)
-
-
-class TestMaxBound:
-    """The phase curve's max(L, U), which solves only the side that sets it."""
+class TestBelowThreshold:
+    """The BT and BCT phase curves' one feasibility test, _below_threshold, against
+    max(L, U) < sqrt(2) - 1 from compute_bounds."""
 
     @given(
         st.sampled_from(["BT", "BCT"]),
-        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.one_of(
+            st.floats(min_value=1e-9, max_value=1.0, exclude_max=True),
+            st.floats(min_value=-9.0, max_value=-1.0).map(lambda x: 10.0**x),
+        ),
         st.one_of(
             st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
             st.floats(min_value=-12.0, max_value=-1.0).map(lambda x: 10.0**x),
         ),
     )
     @settings(max_examples=300, deadline=None)
-    def test_equals_max_of_compute_bounds(self, family, d, r):
-        def reference():
-            b = compute_bounds(family, d, r)
-            return max(b.L, b.U)
+    def test_decides_as_compute_bounds(self, family, d, r):
+        # The curve's predicate is the whole decision, not a sufficient test,
+        # away from the 1e-8 band where the search brackets the crossing.
+        rho_star, below, _ = phase_predicate(d, family)
+        if abs(r - rho_star) > 1e-8:
+            assert below(r) == bounds_below(family, d, r)
 
-        assert outcome(lambda: _max_bound(family, d)(r)) == outcome(reference)
+    @pytest.mark.parametrize("family", ["BT", "BCT"])
+    @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9])
+    def test_last_rho_where_it_holds_is_feasible(self, d, family):
+        # The slack, 2e-12 delta, stops the test short of the crossing and
+        # never past it: bisected to one ulp, the last rho where it holds
+        # still has max(L, U) below sqrt(2) - 1.
+        rho_star, below, _ = phase_predicate(d, family)
+        lo, hi = rho_star, rho_star + 1e-8
+        assert below(lo) and not below(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        assert bounds_below(family, d, lo)
 
-    def test_lower_search_runs_where_u_barely_leads(self, gamma_searches):
-        # U - L is only 1.2e-10 here, inside the 1e-9 (1 + U) slack, so the
-        # lower search must settle max(L, U).
-        b = bt_bounds(0.5, 1e-12)
-        assert 0.0 < b.U - b.L < 1e-9
-        gamma_searches.update(upper=0, lower=0)
-        assert _max_bound("BT", 0.5)(1e-12) == max(b.L, b.U)
-        assert gamma_searches == {"upper": 1, "lower": 1}
+    @pytest.mark.parametrize("family", ["BT", "BCT"])
+    @pytest.mark.parametrize("d", [1e-9, 1e-6, 0.05, 0.5, 0.95])
+    def test_curve_makes_no_lambda_solve_or_gamma_search(self, d, family, gamma_searches, monkeypatch):
+        solves = [0]
+        solve = asymptotic._solve_lambda
 
-    @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
-    def test_bt_curve_skips_the_lower_search(self, d, gamma_searches):
-        # One margin, one upper search; the probe below the guess and the spot
-        # checks are certified without one.  U leads L by far more than the
-        # slack at every rho the curve probes (by about 0.09 at rho*), so no
-        # lower search runs.
-        l1_phase_transition(d, "BT")
-        assert gamma_searches["upper"] <= 1
-        assert gamma_searches["lower"] == 0
+        def counted(*args):
+            solves[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(asymptotic, "_solve_lambda", counted)
+        l1_phase_transition(d, family)
+        assert solves[0] == 0
+        assert gamma_searches == {"upper": 0, "lower": 0}
 
     @given(
         st.floats(min_value=1e-3, max_value=0.999),
         st.one_of(st.floats(min_value=1e-5, max_value=300.0), st.floats(min_value=1.0, max_value=1.0 + 1e-5)),
     )
     @settings(max_examples=150, deadline=None)
-    def test_certificate_implies_a_positive_margin(self, d, f):
-        # The certificate proves max(L, U) < sqrt(2) - 1 from U and L at
-        # gamma = rho, which bound BT's and BCT's U and L from above.  At
-        # rho* + 1e-8, past the search's infeasible bracket end, the margin
-        # is not positive, so the certificate must fail there.
+    def test_holding_at_gamma_rho_means_feasible(self, d, f):
+        # U and L at gamma = rho bound BT's from above and are BCT's, so
+        # where the test holds there, max(L, U) < sqrt(2) - 1.  At rho* +
+        # 1e-8, past the search's infeasible bracket end, max(L, U) is not
+        # below, so the test must fail there.
         for family in ("BT", "BCT"):
-            rho_star, max_bound = l1_phase_transition(d, family), _max_bound(family, d)
+            rho_star = l1_phase_transition(d, family)
             above = rho_star + 1e-8
-            assert not L1_THRESHOLD - max_bound(above) > 0.0 and not _certified(d, above)
+            assert not bounds_below(family, d, above) and not _below_threshold(d, above, above)
             r = min(f * rho_star, 0.999)
-            if _certified(d, r):
-                assert L1_THRESHOLD - max_bound(r) > 0.0
+            if _below_threshold(d, r, r):
+                assert bounds_below(family, d, r)
 
     @given(
         st.floats(min_value=1e-3, max_value=0.999),
@@ -644,22 +659,22 @@ class TestMaxBound:
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     )
     @settings(max_examples=150, deadline=None)
-    def test_certificate_at_a_feasible_gamma_implies_a_positive_margin(self, d, f, t):
-        # For BT the certificate holds at any gamma in [rho, sqrt(2) - 1):
-        # U and L there bound BT's optimized U and L from above.  Tried at
-        # the crossing's gamma, which the curve uses, and at a drawn one; at
-        # rho* + 1e-8, where the margin is not positive, it must fail at both.
-        rho_star, max_bound = l1_phase_transition(d, "BT"), _max_bound("BT", d)
+    def test_holding_at_any_gamma_means_feasible(self, d, f, t):
+        # For BT the test is sound at any gamma in [rho, sqrt(2) - 1): U and L
+        # there bound BT's optimized U and L from above.  Tried at the
+        # crossing's gamma, which the curve uses, and at a drawn one; at rho*
+        # + 1e-8, where max(L, U) is not below sqrt(2) - 1, it must fail at both.
+        rho_star = l1_phase_transition(d, "BT")
         gamma_crossing = _crossing(d, "BT")[1]
         above = rho_star + 1e-8
         for r in (above, min(f * rho_star, 0.999)):
             for g in (gamma_crossing, r + t * (L1_THRESHOLD - r)):
-                if _certified(d, r, g):
-                    assert r < above and L1_THRESHOLD - max_bound(r) > 0.0
+                if _below_threshold(d, r, g):
+                    assert r < above and bounds_below("BT", d, r)
 
 
 class TestPhaseSearch:
-    """The phase search on synthetic margins m(rho) = shape(r - rho)."""
+    """The phase search on synthetic predicates m(rho) > 0, m(rho) = shape(r - rho)."""
 
     SHAPES = {
         "linear": lambda y: y,
@@ -676,17 +691,17 @@ class TestPhaseSearch:
     }
 
     @staticmethod
-    def search(margin, certified=None, guess=None):
-        """rho* from the phase search on margin(rho), and every (rho, margin)
-        pair it evaluated, spot checks included."""
+    def search(below, guess=None):
+        """rho* from the phase search on below(rho), and every (rho, below(rho))
+        pair it asked, spot checks included."""
         seen = []
 
         def counted(rho):
-            m = margin(rho)
-            seen.append((rho, m))
-            return m
+            holds = below(rho)
+            seen.append((rho, holds))
+            return holds
 
-        return _phase_search(counted, 0.5, certified, guess), seen
+        return _phase_search(counted, 0.5, guess), seen
 
     @given(st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)), st.sampled_from(sorted(SHAPES)))
     @settings(max_examples=300, deadline=None)
@@ -695,9 +710,9 @@ class TestPhaseSearch:
         # midpoints, then three spot checks; 32 was the most over 10^4 roots
         # per shape.
         g, r = self.SHAPES[shape], math.exp(log_r)
-        rho_star, seen = self.search(lambda rho: g(r - rho))
-        assert dict(seen)[rho_star] > 0.0
-        assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
+        rho_star, seen = self.search(lambda rho: g(r - rho) > 0.0)
+        assert dict(seen)[rho_star]
+        assert any(rho_star < x <= rho_star + 1e-8 and not holds for x, holds in seen)
         assert len(seen) <= 32
 
     @given(
@@ -713,56 +728,49 @@ class TestPhaseSearch:
         # the most was 33, every shape 10% low.
         g, r = self.SHAPES[shape], math.exp(log_r)
         guess = 5e-8 if factor is None else factor * r
-        rho_star, seen = self.search(lambda rho: g(r - rho), guess=guess)
-        assert dict(seen)[rho_star] > 0.0
-        assert any(rho_star < x <= rho_star + 1e-8 and m <= 0.0 for x, m in seen)
+        rho_star, seen = self.search(lambda rho: g(r - rho) > 0.0, guess=guess)
+        assert dict(seen)[rho_star]
+        assert any(rho_star < x <= rho_star + 1e-8 and not holds for x, holds in seen)
         assert len(seen) <= 33
         if factor is None:
-            assert (rho_star, seen) == self.search(lambda rho: g(r - rho))
+            assert (rho_star, seen) == self.search(lambda rho: g(r - rho) > 0.0)
 
     def test_a_close_guess_brackets_at_once(self):
-        # The probe below the guess is certified, so one margin, above it, closes the bracket.
-        rho_star, seen = self.search(lambda rho: 0.3 - rho, certified=lambda rho: True, guess=0.3)
+        # The probes on each side of the guess close the bracket; three spot
+        # checks follow.
+        rho_star, seen = self.search(lambda rho: rho < 0.3, guess=0.3)
         quarter = 0.25 * 1e-8
-        assert [x for x, _ in seen] == pytest.approx([0.3 + quarter], abs=1e-16)
+        assert [x for x, _ in seen[:2]] == pytest.approx([0.3 - quarter, 0.3 + quarter], abs=1e-16)
+        assert len(seen) == 5
         assert rho_star == 0.3 - quarter
 
-    def test_a_certified_first_probe_that_misses_falls_back_to_bisection(self):
-        # A guess 10% low: both probes are feasible, so the search bisects up
-        # from the second one.  The certified first probe is never evaluated,
-        # and rho* is the one that the uncertified search finds.
-        margin, quarter = lambda rho: 0.3 - rho, 0.25 * 1e-8
-        rho_star, seen = self.search(margin, certified=lambda rho: margin(rho) > 0.0, guess=0.27)
-        assert seen[0][0] == pytest.approx(0.27 + quarter, abs=1e-16)
-        assert all(x != pytest.approx(0.27 - quarter, abs=1e-16) for x, _ in seen)
-        assert rho_star == self.search(margin, guess=0.27)[0]
+    def test_a_guess_that_misses_falls_back_to_bisection(self):
+        # A guess 10% low: both probes hold, so the search probes 1 - 1e-12
+        # and bisects down to within 1e-8 below the root.
+        quarter = 0.25 * 1e-8
+        rho_star, seen = self.search(lambda rho: rho < 0.3, guess=0.27)
+        assert [x for x, _ in seen[:3]] == pytest.approx([0.27 - quarter, 0.27 + quarter, 1.0 - 1e-12], abs=1e-16)
+        assert 0.3 - 1e-8 <= rho_star < 0.3
 
     def test_infeasible_start_returns_zero(self):
-        assert self.search(lambda rho: -1.0) == (0.0, [(1e-7, -1.0)])
-        assert self.search(lambda rho: -1.0, guess=0.3) == (0.0, [(0.3 - 0.25 * 1e-8, -1.0), (1e-7, -1.0)])
+        assert self.search(lambda rho: False) == (0.0, [(1e-7, False)])
+        assert self.search(lambda rho: False, guess=0.3) == (0.0, [(0.3 - 0.25 * 1e-8, False), (1e-7, False)])
 
-    def test_positive_margin_at_the_cap_raises(self):
+    def test_feasible_at_the_cap_raises(self):
         for guess in (None, 0.5):
-            with pytest.raises(SolverError, match=r"margin still positive at rho=0\.999999999999"):
-                self.search(lambda rho: 1.0, guess=guess)
+            with pytest.raises(SolverError, match=r"still feasible at rho=0\.999999999999"):
+                self.search(lambda rho: True, guess=guess)
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(asymptotic, "_ROOT_STEPS", 2)
         with pytest.raises(SolverError, match="phase search left"):
-            self.search(lambda rho: 0.3 - rho)
+            self.search(lambda rho: rho < 0.3)
 
     def test_non_monotone_margin_raises(self):
         # Infeasible in a dip below rho*, which the search itself never probes.
         with pytest.raises(SolverError, match="not monotone"):
-            self.search(lambda rho: -1.0 if 0.1 < rho < 0.2 else 0.5 - rho)
+            self.search(lambda rho: not 0.1 < rho < 0.2 and rho < 0.5)
 
-    def test_spot_checks_try_the_certificate_first(self):
-        # A failing certificate leaves the spot check to the margin, which
-        # still finds the dip; one that holds spares the margin.
-        margin = lambda rho: -1.0 if 0.1 < rho < 0.2 else 0.5 - rho
-        asked = []
-        with pytest.raises(SolverError, match="not monotone"):
-            self.search(margin, certified=lambda rho: asked.append(rho) or False)
-        assert 0.1 < asked[0] < 0.2
-        rho_star, seen = self.search(margin, certified=lambda rho: True)
-        assert not {0.25 * rho_star, 0.5 * rho_star, 0.9 * rho_star} & dict(seen).keys()
+    def test_spot_checks_ask_fractions_of_rho_star(self):
+        rho_star, seen = self.search(lambda rho: rho < 0.3, guess=0.3)
+        assert [x for x, _ in seen[-3:]] == [0.25 * rho_star, 0.5 * rho_star, 0.9 * rho_star]
