@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
-from .rates import _net_foot, _net_max_raw, _net_min_log_lambda, _validate_point, shannon_entropy
+from .rates import (_entropy_ratio_term, _net_foot, _net_max_raw, _net_min_log_lambda, _psi_max, _psi_min,
+                    _validate_point, shannon_entropy)
 
 __all__ = [
     "AsymptoticBound",
@@ -40,6 +41,7 @@ __all__ = [
 FAMILIES = ("BT", "BCT", "CT")
 
 L1_THRESHOLD = math.sqrt(2.0) - 1.0
+_LOG_LAM_LO = math.log1p(-L1_THRESHOLD)  # ln lambda = ln(2 - sqrt(2)) where L meets the threshold
 
 # Root residual target for the implicit lambda equations.
 RESIDUAL_TOL = 1e-12
@@ -72,8 +74,7 @@ class AsymptoticBound:
     gamma_min / gamma_max as the BT search found it (at an edge optimum,
     ln(edge - rho)); gamma - rho itself can round to 0.0 in double when the
     optimum sits within one ulp of rho.  They are None for BCT and CT.
-    RECORD names the fields of the bound's output record, in order.
-    """
+    RECORD names the fields of the bound's output record, in order."""
 
     RECORD = ("delta", "rho", "family", "L", "U", "lambda_min", "lambda_max",
               "log_lambda_min", "gamma_min", "gamma_max", "nu_opt")
@@ -99,8 +100,7 @@ class AsymptoticBound:
 class GammaOptimum:
     """Result of a gamma search: the chosen gamma, value = ln lambda there
     (ln lambda^max or ln lambda^min), whether gamma sits on the edge of its
-    interval, and log_offset = ln(gamma - rho).
-    """
+    interval, and log_offset = ln(gamma - rho)."""
 
     gamma: float
     value: float
@@ -178,8 +178,7 @@ def solve_lambda_max(delta: float, rho: float, gamma: float) -> float:
     _validate_point(delta, rho)
     if not (rho <= gamma <= 1.0 / delta):
         raise DomainError(f"gamma={gamma} outside [rho, 1/delta]")
-    return _solve_lambda(
-        lambda x: _net_max_raw(math.exp(x), delta, rho, gamma), 1.0, "lambda^max", delta, rho, gamma)
+    return _solve_lambda(lambda x: _net_max_raw(math.exp(x), delta, rho, gamma), 1.0, "lambda^max", delta, rho, gamma)
 
 
 def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
@@ -189,8 +188,7 @@ def solve_lambda_min(delta: float, rho: float, gamma: float) -> float:
     _validate_point(delta, rho)
     if not (rho <= gamma < 1.0):
         raise DomainError(f"gamma={gamma} outside [rho, 1) for the lower bound")
-    return _solve_lambda(
-        lambda x: _net_min_log_lambda(x, delta, rho, gamma), -1.0, "lambda^min", delta, rho, gamma)
+    return _solve_lambda(lambda x: _net_min_log_lambda(x, delta, rho, gamma), -1.0, "lambda^min", delta, rho, gamma)
 
 
 def _first_order_y(sign: float, gamma: float, log_offset: float) -> float:
@@ -378,26 +376,27 @@ def ct_bounds(delta: float, rho: float) -> AsymptoticBound:
 
 def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
     """Dispatch one (delta, rho) point to the named bound family."""
-    if family == "BT":
-        return bt_bounds(delta, rho)
-    if family == "BCT":
-        return bct_bounds(delta, rho)
-    if family == "CT":
-        return ct_bounds(delta, rho)
-    raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
+    if family not in FAMILIES:
+        raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
+    return {"BT": bt_bounds, "BCT": bct_bounds, "CT": ct_bounds}[family](delta, rho)
 
 
-def _below_threshold(delta, rho, gamma):
+def _threshold_level(delta, gamma):
+    """delta max(psi_max(sqrt(2), gamma), psi_min(2 - sqrt(2), gamma)), gamma < sqrt(2) - 1."""
+    return delta * max(_psi_max(1.0 + L1_THRESHOLD, gamma), _psi_min(1.0 - L1_THRESHOLD, _LOG_LAM_LO, gamma))
+
+
+def _below_threshold(delta, rho, gamma, level=None):
     """True when U and L at one gamma in [rho, sqrt(2) - 1) lie below sqrt(2) - 1: the net
-    exponents F at lambda = sqrt(2) and 2 - sqrt(2), past the feet 1 +- gamma, are negative
-    only beyond their roots.  U and L at any such gamma bound BT's from above; at gamma = rho
-    they are BCT's.  At fixed gamma, dF/drho = delta ln((1 - rho delta) / (delta (gamma -
-    rho))) > 0, and BT's crossing gamma minimises F at lambda = sqrt(2) there, so at that
-    gamma the test holds below the crossing and fails above it.  The slack covers the
-    rounding of F, which is delta times the canonical eps a / 2."""
-    return rho <= gamma < L1_THRESHOLD and max(
-        _net_max_raw(1.0 + L1_THRESHOLD, delta, rho, gamma),
-        _net_min_log_lambda(math.log1p(-L1_THRESHOLD), delta, rho, gamma)) < -2.0 * RESIDUAL_TOL * delta
+    exponents F at lambda = sqrt(2) and 2 - sqrt(2) are negative only past their roots.  As
+    rounding is monotone, the larger F is level + H(rho delta) - delta gamma H(rho/gamma) as
+    rounded; level is _threshold_level's unless passed.  U and L at such a gamma bound BT's
+    from above; at gamma = rho they are BCT's.  dF/drho = delta ln((1 - rho delta) / (delta
+    (gamma - rho))) > 0, and BT's crossing gamma minimises F at lambda = sqrt(2) there, so the
+    test holds below the crossing and fails above it; its slack covers F's rounding."""
+    return rho <= gamma < L1_THRESHOLD and (
+        (_threshold_level(delta, gamma) if level is None else level) + shannon_entropy(rho * delta)
+        - delta * _entropy_ratio_term(rho, gamma) < -2.0 * RESIDUAL_TOL * delta)
 
 
 def _crossing(delta, family):
@@ -440,16 +439,17 @@ def _crossing(delta, family):
 
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
     """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by _phase_search
-    from the guess of _crossing.  BT and BCT decide by _below_threshold at the crossing's
-    gamma and at gamma = rho, with no lambda solve and at most 16 net-exponent evaluations
-    per curve; CT by its closed forms.  BT refuses delta < 2**-52, as its bounds do.  L and
-    U bound RICs of order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2)
-    n-sparse recovery."""
+    from the guess of _crossing.  BT and BCT decide by _below_threshold with no lambda solve:
+    after the crossing's Newton steps (2 to 6 net-exponent evaluations), 5 tests of two
+    entropies each, plus two psi terms each for BCT or once per curve for BT.  CT decides by
+    its closed forms.  BT refuses delta < 2**-52, as its bounds do.  L and U bound RICs of
+    order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
     _validate_point(delta, 0.5)
     guess, gamma = _crossing(delta, family)
     if family == "BT":
         _check_upper_delta(delta)
-        below = lambda rho: _below_threshold(delta, rho, gamma)
+        level = _threshold_level(delta, gamma) if gamma < L1_THRESHOLD else None
+        below = lambda rho: _below_threshold(delta, rho, gamma, level)
     elif family == "BCT":
         below = lambda rho: _below_threshold(delta, rho, rho)
     else:

@@ -110,8 +110,13 @@ def bounds(args) -> None:
     _emit(args, {"delta": args.delta, "rho": args.rho, "family": args.family}, _bound_record(b))
 
 
-def _linspace(lo: float, hi: float, steps: int) -> list[float]:
-    check_count("steps", steps, 2)
+def _linspace(args, axis: str) -> list[float]:
+    """The --{axis}-steps evenly spaced points from --{axis}-min to --{axis}-max."""
+    lo, hi, steps = (getattr(args, f"{axis}_{end}") for end in ("min", "max", "steps"))
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise DomainError(f"--{axis}-{end} must be finite, got {value}")
+    check_count(f"--{axis}-steps", steps, 2)
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
@@ -130,8 +135,7 @@ def _parse_families(text: str) -> list[str]:
 def grid(args) -> None:
     """Sweep the bound families over a (delta, rho) grid."""
     fams = _parse_families(args.families)
-    deltas = _linspace(args.delta_min, args.delta_max, args.delta_steps)
-    rhos = _linspace(args.rho_min, args.rho_max, args.rho_steps)
+    deltas, rhos = _linspace(args, "delta"), _linspace(args, "rho")
     points = [(f, d, r) for f in fams for d in deltas for r in rhos]
     bounds_list = [asymptotic.compute_bounds(f, d, r) for f, d, r in points]
     rows = [{c: getattr(b, c) for c in GRID_COLUMNS} for b in bounds_list]
@@ -211,7 +215,7 @@ PHASE_COLUMNS = ["delta", "family", "rho_star"]
 def phase_cmd(args) -> None:
     """l1 recovery phase-transition curve rho*(delta)."""
     fams = _parse_families(args.families)
-    deltas = _linspace(args.delta_min, args.delta_max, args.delta_steps)
+    deltas = _linspace(args, "delta")
     points = [(f, d) for f in fams for d in deltas]
     stars = [asymptotic.l1_phase_transition(d, f) for f, d in points]
     rows = [

@@ -11,12 +11,14 @@ from ricbounds import asymptotic
 from ricbounds.asymptotic import (
     FAMILIES,
     L1_THRESHOLD,
+    RESIDUAL_TOL,
     GammaOptimum,
     _below_threshold,
     _crossing,
     _lambert_y,
     _newton,
     _phase_search,
+    _threshold_level,
     bct_bounds,
     bt_bounds,
     compute_bounds,
@@ -57,6 +59,39 @@ def net_calls(monkeypatch):
     monkeypatch.setattr(asymptotic, "_net_max_raw", counted(_net_max_raw))
     monkeypatch.setattr(asymptotic, "_net_min_log_lambda", counted(_net_min_log_lambda))
     return calls
+
+
+@pytest.fixture
+def threshold_calls(monkeypatch):
+    """Counts the phase curve's threshold tests and its psi-level computations."""
+    calls = {"tests": 0, "levels": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(asymptotic, "_below_threshold", counted(_below_threshold, "tests"))
+    monkeypatch.setattr(asymptotic, "_threshold_level", counted(_threshold_level, "levels"))
+    return calls
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """Counts the steps of every _newton loop run through asymptotic."""
+    steps = [0]
+
+    def spied(g, *args):
+        def counted(x):
+            steps[0] += 1
+            return g(x)
+
+        return _newton(counted, *args)
+
+    monkeypatch.setattr(asymptotic, "_newton", spied)
+    return steps
 
 
 def bounds_below(family, delta, rho):
@@ -479,22 +514,69 @@ class TestPhaseTransition:
     def test_bt_above_bct(self):
         assert l1_phase_transition(0.3, "BT") >= l1_phase_transition(0.3, "BCT")
 
-    @pytest.mark.parametrize("family, ceiling", [("BT", 700), ("BCT", 450)])
+    # The BT-700 and BCT-450 ids name ceilings of an earlier count, which also
+    # counted two full net exponents per threshold test.
+    @pytest.mark.parametrize("family", [pytest.param("BT", id="BT-700"), pytest.param("BCT", id="BCT-450")])
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
-    def test_phase_takes_few_evaluations(self, d, family, ceiling, net_calls):
+    def test_phase_takes_few_evaluations(self, d, family, net_calls, threshold_calls, newton_steps):
+        # Every net evaluation is a Newton step of the predicted crossing, 4 at
+        # these deltas.  The five threshold tests evaluate no full net exponent:
+        # BT computes its psi level once per curve, BCT once per test.
         l1_phase_transition(d, family)
-        assert net_calls[0] <= ceiling
+        assert net_calls[0] == newton_steps[0] <= 4
+        assert threshold_calls == {"tests": 5, "levels": 1 if family == "BT" else 5}
 
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 0.05, 0.5, 0.95])
-    def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls):
-        # 13 to 16 for BT and for BCT over 2200 deltas from 1e-9 to 1 - 1e-12:
-        # the predicted crossing's Newton steps, then two probes and three
-        # spot checks of the threshold test, each at two evaluations and none
-        # a lambda solve.  The looser ceilings above are part of those tests' ids.
-        for family, ceiling in (("BT", 16), ("BCT", 16)):
-            net_calls[0] = 0
+    def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls, threshold_calls):
+        # 2 to 6 net evaluations for BT and for BCT over 2200 deltas from 1e-9
+        # to 1 - 1e-12, all of them the predicted crossing's Newton steps; then
+        # two probes and three spot checks of the threshold test, none of them
+        # a lambda solve or a full net exponent.
+        for family in ("BT", "BCT"):
+            net_calls[0] = threshold_calls["tests"] = 0
             l1_phase_transition(d, family)
-            assert net_calls[0] <= ceiling
+            assert net_calls[0] <= 6
+            assert threshold_calls["tests"] == 5
+
+    # rho* at criterion 9's deltas, 0.05 + (0.9524 - 0.05) i / 49, as the curve
+    # found it when each threshold test still evaluated both full net exponents.
+    PINNED = {
+        "BT": [
+            0.0024824871630265343, 0.0025486494667303094, 0.002601516293422747, 0.0026459157877927616,
+            0.002684406622668062, 0.0027185182922591236, 0.002749242368266278, 0.0027772605354978693,
+            0.0028030627699740136, 0.0028270137876992294, 0.002849392839132224, 0.0028704187714200225,
+            0.002890266475878672, 0.0029090780590308603, 0.0029269706539425486, 0.0029440420204798314,
+            0.0029603746484060623, 0.0029760388212830397, 0.0029910949431622065, 0.003005595332096758,
+            0.0030195856213328497, 0.0030331058673199883, 0.0030461914355427297, 0.003058873715828377,
+            0.0030711807052525796, 0.003083137487145597, 0.003094766627768307, 0.003106088507159437,
+            0.00311712159690892, 0.0031278826948091198, 0.0031383871242168133, 0.0031486489043419477,
+            0.0031586808964337073, 0.0031684949298668554, 0.0031781019113735565, 0.003187511920068815,
+            0.0031967342904423847, 0.0032057776851108152, 0.003214650158817622, 0.003223359214922385,
+            0.0032319118554179544, 0.003240314625351217, 0.0032485736523860855, 0.003256694682136541,
+            0.003264683109804062, 0.0032725440085765753, 0.0032802821551808363, 0.003287902052926102,
+            0.003295407952530761, 0.003302803870984268,
+        ],
+        "BCT": [
+            0.0024736577386125667, 0.002539186137729478, 0.0025915260191053404, 0.002635468703359466,
+            0.002673552832474999, 0.00270729567023893, 0.0027376807157273773, 0.002765384016662092,
+            0.002790891440824813, 0.0028145646079504477, 0.002836680370823749, 0.0028574556779487384,
+            0.0028770638887252674, 0.0028956458537818196, 0.002913317662333961, 0.0029301761961995996,
+            0.0029463031987582706, 0.002961768313177635, 0.002976631389475157, 0.0029909442628018364,
+            0.0030047521426630965, 0.0030180947114084424, 0.003031007002408982, 0.003043520109151509,
+            0.0030556617630544966, 0.003067456808271624, 0.003078927594870476, 0.0030900943067499755,
+            0.003100975236942856, 0.0031115870201705595, 0.0031219448304170357, 0.003132062549683856,
+            0.003141952912854683, 0.003151627632637233, 0.003161097507800346, 0.003170372517330682,
+            0.0031794619026635647, 0.0031883742397653667, 0.003197117502542736, 0.0032056991188083943,
+            0.003214126019833677, 0.0032224046843551822, 0.0032305411777679037, 0.003238541187127047,
+            0.0032464100524879588, 0.003254152795037265, 0.0032617741424036516, 0.0032692785514832822,
+            0.0032766702290681527, 0.0032839531505284613,
+        ],
+    }
+
+    @pytest.mark.parametrize("family", ["BT", "BCT"])
+    def test_curve_is_pinned(self, family):
+        deltas = [0.05 + (0.9524 - 0.05) * i / 49 for i in range(50)]
+        assert [l1_phase_transition(d, family) for d in deltas] == self.PINNED[family]
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
@@ -537,22 +619,12 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0 - 1e-12])
-    def test_crossing_takes_few_evaluations(self, d, family, net_calls, monkeypatch):
+    def test_crossing_takes_few_evaluations(self, d, family, net_calls, newton_steps):
         # Newton from gamma = 3e-3 took 4 to 6 steps at these deltas.  Each is
         # one net evaluation for BT and BCT; CT's closed form needs none.
-        steps = [0]
-
-        def spied(g, *args):
-            def counted(x):
-                steps[0] += 1
-                return g(x)
-
-            return _newton(counted, *args)
-
-        monkeypatch.setattr(asymptotic, "_newton", spied)
         _crossing(d, family)
-        assert steps[0] <= 6
-        assert net_calls[0] == (0 if family == "CT" else steps[0])
+        assert newton_steps[0] <= 6
+        assert net_calls[0] == (0 if family == "CT" else newton_steps[0])
 
     def test_unknown_family_raises_before_any_evaluation(self, net_calls):
         with pytest.raises(DomainError, match="unknown bound family 'XX'"):
@@ -605,6 +677,33 @@ class TestBelowThreshold:
         rho_star, below, _ = phase_predicate(d, family)
         if abs(r - rho_star) > 1e-8:
             assert below(r) == bounds_below(family, d, r)
+
+    @given(
+        st.one_of(
+            st.floats(min_value=1e-9, max_value=1.0, exclude_max=True),
+            st.floats(min_value=-9.0, max_value=-1.0).map(lambda x: 10.0**x),
+        ),
+        st.one_of(
+            st.floats(min_value=1e-12, max_value=L1_THRESHOLD, exclude_max=True),
+            st.floats(min_value=-12.0, max_value=-1.0).map(lambda x: 10.0**x),
+        ),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_decides_as_the_larger_full_net_exponent(self, d, r, t):
+        # gamma in [rho, sqrt(2) - 1), gamma = rho at t = 0.  The psi level plus
+        # the shared entropy terms is the larger of the two full net exponents
+        # to the last bit, as rounding is monotone, so the test decides as they
+        # do even within an ulp of the slack, with the level computed or passed.
+        g = r + t * (L1_THRESHOLD - r)
+        if g >= L1_THRESHOLD:
+            return
+        full = max(_net_max_raw(1.0 + L1_THRESHOLD, d, r, g),
+                   _net_min_log_lambda(math.log1p(-L1_THRESHOLD), d, r, g))
+        level = _threshold_level(d, g)
+        assert level + shannon_entropy(r * d) - d * (g * shannon_entropy(r / g)) == full
+        holds = full < -2.0 * RESIDUAL_TOL * d
+        assert _below_threshold(d, r, g) == _below_threshold(d, r, g, level) == holds
 
     @pytest.mark.parametrize("family", ["BT", "BCT"])
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9])

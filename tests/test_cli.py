@@ -355,6 +355,26 @@ class TestPhase:
         assert "DomainError" in err and "repeated" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [(["phase", "--delta-steps", "3", "--delta-max", "inf"], "--delta-max", "inf"),
+     (["phase", "--delta-min=-inf"], "--delta-min", "-inf"),
+     (["grid", "--delta-max", "nan"], "--delta-max", "nan"),
+     (["grid", "--rho-min", "nan"], "--rho-min", "nan"),
+     (["grid", "--rho-max", "inf"], "--rho-max", "inf"),
+     (["phase", "--delta-steps", "1"], "--delta-steps", "1"),
+     (["grid", "--rho-steps", "1"], "--rho-steps", "1")],
+    ids=["phase-delta-max-inf", "phase-delta-min-minus-inf", "grid-delta-max-nan",
+         "grid-rho-min-nan", "grid-rho-max-inf", "phase-one-step", "grid-one-rho-step"],
+)
+def test_grid_range_refused_by_option(capsys, argv, option, value):
+    # (inf - lo) * 0 is nan, so a non-finite end would turn every grid point
+    # into nan; it is refused by name before the grid is built.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"DomainError: {option} must be" in err and err.rstrip().endswith(f"got {value}")
+
+
 class TestCover:
     def test_summary_record(self, capsys):
         code, out, _ = run_cli(
