@@ -16,7 +16,7 @@ max(L, U) < sqrt(2) - 1 sufficient condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, SolverError
 from .rates import (_entropy_ratio_term, _net_foot, _net_max_raw, _net_min_log_lambda, _psi_max, _psi_min,
@@ -56,8 +56,10 @@ _NU_TOP = 1.0 - 1e-12
 _ROOT_STEPS = 200
 
 
-@dataclass(frozen=True)
-class AsymptoticBound:
+class AsymptoticBound(namedtuple("AsymptoticBound", (
+        "family", "delta", "rho", "L", "U", "lambda_min", "lambda_max", "log_lambda_min", "gamma_min",
+        "gamma_max", "nu_opt", "boundary_upper", "boundary_lower", "log_gamma_offset_min",
+        "log_gamma_offset_max"), defaults=(None, None, None, False, False, None, None))):
     """One bound family evaluated at a single (delta, rho) point.
 
     Naming convention: gamma_min is the gamma that minimizes lambda^max
@@ -76,36 +78,17 @@ class AsymptoticBound:
     optimum sits within one ulp of rho.  They are None for BCT and CT.
     RECORD names the fields of the bound's output record, in order."""
 
+    __slots__ = ()
     RECORD = ("delta", "rho", "family", "L", "U", "lambda_min", "lambda_max",
               "log_lambda_min", "gamma_min", "gamma_max", "nu_opt")
 
-    family: str
-    delta: float
-    rho: float
-    L: float
-    U: float
-    lambda_min: float
-    lambda_max: float
-    log_lambda_min: float
-    gamma_min: float | None = None
-    gamma_max: float | None = None
-    nu_opt: float | None = None
-    boundary_upper: bool = False
-    boundary_lower: bool = False
-    log_gamma_offset_min: float | None = None
-    log_gamma_offset_max: float | None = None
 
-
-@dataclass(frozen=True)
-class GammaOptimum:
+class GammaOptimum(namedtuple("GammaOptimum", ("gamma", "value", "at_boundary", "log_offset"))):
     """Result of a gamma search: the chosen gamma, value = ln lambda there
     (ln lambda^max or ln lambda^min), whether gamma sits on the edge of its
     interval, and log_offset = ln(gamma - rho)."""
 
-    gamma: float
-    value: float
-    at_boundary: bool
-    log_offset: float
+    __slots__ = ()
 
 
 _WHERE = "{} {} (delta={}, rho={}, gamma={})"
@@ -160,7 +143,7 @@ def _solve_lambda(f, sign, side, delta, rho, gamma):
     closed form (exact where a rounds), and y from _lambert_y.  f is
     evaluated once, at the root, which must meet the 1e-12 residual; each
     failure raises SolverError naming the solve."""
-    f_foot = _net_foot(sign, delta, rho, gamma)
+    f_foot = _net_foot(sign, delta, rho, gamma, shannon_entropy(rho * delta))
     if f_foot < 0.0:
         raise SolverError(_WHERE.format("net exponent negative at the foot of", side, delta, rho, gamma))
     eps = 2.0 * f_foot / (delta * (1.0 + sign * gamma))
@@ -274,12 +257,12 @@ def _gamma_search(sign, delta, rho, g_edge, solve) -> GammaOptimum:
         o = math.exp(u)
         gamma = min(rho + o, g_edge)
         a = 1.0 + sign * gamma
-        eps = 2.0 * _net_foot(sign, delta, rho, gamma) / (delta * a)
+        eps = 2.0 * _net_foot(sign, delta, rho, gamma, h) / (delta * a)
         y, y1 = _lambert_y(eps, sign), _first_order_y(sign, gamma, u)
         return sign * (y - y1), 2.0 - o * ((y1 + eps) / (a * math.expm1(y)) + 3.0 / gamma - sign / a)
 
-    u_edge = math.log(g_edge - rho)
-    eps = 2.0 * _net_foot(sign, delta, rho, rho) / (delta * (1.0 + sign * rho))
+    u_edge, h = math.log(g_edge - rho), shannon_entropy(rho * delta)
+    eps = 2.0 * _net_foot(sign, delta, rho, rho, h) / (delta * (1.0 + sign * rho))
     start = _first_order_offset(sign, rho, _lambert_y(eps, sign))
     u = _newton(gap, min(start, u_edge - 1.0), u_edge, 0.5 * GAMMA_TOL,
                 "gamma search left [{lo!r}, {hi!r}] unresolved (delta={}, rho={})", delta, rho)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -109,8 +110,7 @@ def random_cover(plan: CoveringPlan) -> tuple[bool, int]:
     return uncovered == 0, uncovered
 
 
-@dataclass(frozen=True)
-class CoveringBound:
+class CoveringBound(namedtuple("CoveringBound", ("log_envelope", "log_intermediate"))):
     """Failure-probability bounds for a covering plan, in log space.
 
     envelope is the closed-form bound (5/4)(2 pi k (1-k/N))^(-1/2)
@@ -118,8 +118,7 @@ class CoveringBound:
     it is derived from.  Linear values underflow to 0.0 past e^-745.
     """
 
-    log_envelope: float
-    log_intermediate: float
+    __slots__ = ()
 
     @property
     def envelope(self) -> float:

@@ -10,6 +10,7 @@ under-reports the true constants.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_GUARD = 1_000_000
+# Largest N x N Gram matrix, in bytes, that a sample may form: N <= 16384.
+GRAM_GUARD_BYTES = 2**31
 # Candidate pruning width for the swap neighborhood.
 CANDIDATE_POOL = 32
 IMPROVE_TOL = 1e-9
@@ -61,24 +64,18 @@ class MatrixSample:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The N x N Gram matrix, formed on first use and kept with the sample."""
+        """The N x N Gram matrix, formed on first use and kept with the sample;
+        GuardError where its 8 N^2 bytes would exceed GRAM_GUARD_BYTES."""
+        if 8 * self.N**2 > GRAM_GUARD_BYTES:
+            raise GuardError(f"a {self.N} x {self.N} Gram matrix exceeds the guard of {GRAM_GUARD_BYTES} bytes")
         return self.entries.T @ self.entries
 
 
-@dataclass(frozen=True)
-class EmpiricalRun:
+class EmpiricalRun(namedtuple("EmpiricalRun", (
+        "n", "N", "k", "seed", "mode", "best_support", "extreme_eig", "estimate", "restarts", "swaps_taken"))):
     """Result of one local-search estimate (best over all restarts)."""
 
-    n: int
-    N: int
-    k: int
-    seed: int
-    mode: str
-    best_support: tuple[int, ...]
-    extreme_eig: float
-    estimate: float
-    restarts: int
-    swaps_taken: int
+    __slots__ = ()
 
 
 def sample_gaussian(n: int, N: int, seed: int) -> MatrixSample:

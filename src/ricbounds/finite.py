@@ -13,6 +13,7 @@ eigenvalue level) underflow double precision in linear form.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .asymptotic import (
@@ -62,8 +63,9 @@ class FiniteInstance:
         return self.k / self.n
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(namedtuple("TailBound", (
+        "side", "instance", "lambda_star", "log_lambda_star", "gamma_used", "psi_derivative",
+        "log_prefactor_proof", "log_eig_term", "log_cover_term", "log_total"))):
     """One evaluated tail probability bound.
 
     total is the final probability, clamped to [0, 1]; log_total is the
@@ -77,21 +79,11 @@ class TailBound:
     RECORD names the output record's fields in order; k, n, N, epsilon read instance.
     """
 
+    __slots__ = ()
     RECORD = ("side", "k", "n", "N", "epsilon", "total", "eig_term", "cover_term",
               "lambda_star", "log_lambda_star", "gamma_used", "psi_derivative",
               "log_eig_term", "log_cover_term", "log_total", "log_prefactor_proof",
               "log_prefactor_stated")
-
-    side: str
-    instance: FiniteInstance
-    lambda_star: float
-    log_lambda_star: float
-    gamma_used: float
-    psi_derivative: float
-    log_prefactor_proof: float
-    log_eig_term: float
-    log_cover_term: float
-    log_total: float
 
     k = property(lambda self: self.instance.k)
     n = property(lambda self: self.instance.n)

@@ -131,12 +131,12 @@ def _net_max_raw(lam: float, delta: float, rho: float, gamma: float) -> float:
     )
 
 
-def _net_foot(sign: float, delta: float, rho: float, gamma: float) -> float:
+def _net_foot(sign: float, delta: float, rho: float, gamma: float, h: float) -> float:
     """Net exponent at its foot a = 1 + sign gamma in closed form, exact where
     a rounds: 2 psi(a) = sign a ln a - gamma ln gamma on both sides, which
-    is H(gamma) for psi_min."""
+    is H(gamma) for psi_min.  h = H(rho delta) comes from the caller."""
     psi = 0.5 * (sign * (1.0 + sign * gamma) * math.log1p(sign * gamma) - gamma * math.log(gamma))
-    return delta * psi + shannon_entropy(rho * delta) - delta * _entropy_ratio_term(rho, gamma)
+    return delta * psi + h - delta * _entropy_ratio_term(rho, gamma)
 
 
 # Log-lambda variants: lambda^min underflows float range for extreme

@@ -153,7 +153,7 @@ class TestLambdaSolvers:
         assert abs(_net_min_log_lambda(log_lam, d, r, g)) < 1e-12
 
     def test_failures_name_the_solve(self, monkeypatch):
-        monkeypatch.setattr(asymptotic, "_net_foot", lambda s, d, r, g: -1.0)
+        monkeypatch.setattr(asymptotic, "_net_foot", lambda s, d, r, g, h: -1.0)
         with pytest.raises(SolverError, match=r"negative at the foot of lambda\^max \(delta=0.5, rho=0.3, gamma=0.4\)"):
             solve_lambda_max(0.5, 0.3, 0.4)
         monkeypatch.undo()
@@ -465,6 +465,37 @@ class TestFamilies:
             ref = mpmath.findroot(net, (g, 1), solver="anderson")
         assert b.U == pytest.approx(float(ref), rel=1e-10)
 
+    @staticmethod
+    def small_rho_reference(d, r):
+        """(U, L) at gamma = rho as rho -> 0: with s = sqrt(2 rho (ln(1/(delta^2 rho^3)) + 3)),
+        the net exponents' expansions in lambda - 1 give U = s + s^2/3 + rho and
+        L = s - s^2/3 + rho, each to third order in s."""
+        s = math.sqrt(2.0 * r * (-2.0 * math.log(d) - 3.0 * math.log(r) + 3.0))
+        return s + s * s / 3.0 + r, s - s * s / 3.0 + r
+
+    @pytest.mark.parametrize("r", [1e-16, 1e-20, 1e-24, 1e-32])
+    def test_small_rho_closed_form(self, r):
+        # BCT sits on the reference to 5.6 ulps at most; BT, whose gamma can
+        # only lower the levels, lies at or below it, within 8.8e-11 relative
+        # at rho = 1e-16 and closer as rho falls.
+        few = 8.0 * 2.0**-52
+        for d in (1e-15, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.999):
+            ref = self.small_rho_reference(d, r)
+            bct, bt = bct_bounds(d, r), bt_bounds(d, r)
+            assert (bct.U, bct.L) == pytest.approx(ref, rel=few, abs=0.0)
+            for got, want in zip((bt.U, bt.L), ref):
+                assert want * (1.0 - 1e-10) <= got <= want * (1.0 + few)
+
+    @given(st.floats(math.log(1e-9), math.log(0.999)), st.floats(math.log(1e-30), math.log(0.999)))
+    @settings(max_examples=100, deadline=None)
+    def test_bt_at_or_below_bct(self, log_d, log_r):
+        # BT optimises the gamma that BCT fixes at rho.  Below rho ~ 1e-20 both
+        # land on the same levels, and BT's may round up to 2 ulps above BCT's.
+        d, r = math.exp(log_d), math.exp(log_r)
+        bt, bct = bt_bounds(d, r), bct_bounds(d, r)
+        for got, cap in ((bt.U, bct.U), (bt.L, bct.L)):
+            assert got <= cap + 2.0 * math.ulp(cap)
+
     def test_bct_solves_lambda_three_times(self, monkeypatch):
         calls = {"max": 0, "min": 0}
 
@@ -773,21 +804,7 @@ class TestBelowThreshold:
 
 
 class TestPhaseSearch:
-    """The phase search on synthetic predicates m(rho) > 0, m(rho) = shape(r - rho)."""
-
-    SHAPES = {
-        "linear": lambda y: y,
-        "cubic": lambda y: y**3,
-        "cbrt": lambda y: math.copysign(abs(y) ** (1 / 3), y),
-        "tanh": math.tanh,
-        # Flat, then a cliff.
-        "cliff": lambda y: min(0.017, 1e4 * y),
-        "zero_run": lambda y: max(y, 0.0),
-        "step": lambda y: 0.1 if y > 0.0 else -0.1,
-        # Slopes 1 and 50 on the two sides of the root, both ways round.
-        "kink": lambda y: y if y > 0.0 else 50.0 * y,
-        "kink_inv": lambda y: 50.0 * y if y > 0.0 else y,
-    }
+    """The phase search on synthetic monotone predicates: rho < r, or rho <= r."""
 
     @staticmethod
     def search(below, guess=None):
@@ -802,37 +819,54 @@ class TestPhaseSearch:
 
         return _phase_search(counted, 0.5, guess), seen
 
-    @given(st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)), st.sampled_from(sorted(SHAPES)))
-    @settings(max_examples=300, deadline=None)
-    def test_contract_on_monotone_margins(self, log_r, shape):
-        # Unseeded, the bisection takes 1e-7, 1 - 1e-12 and at most 27
-        # midpoints, then three spot checks; 32 was the most over 10^4 roots
-        # per shape.
-        g, r = self.SHAPES[shape], math.exp(log_r)
-        rho_star, seen = self.search(lambda rho: g(r - rho) > 0.0)
+    @staticmethod
+    def predicate(r, closed):
+        # A boolean predicate can vary only in its root and in whether the
+        # root itself holds; any margin m(rho) > 0 with m's sign reduces to one
+        # of these two.
+        return (lambda rho: rho <= r) if closed else (lambda rho: rho < r)
+
+    def check_contract(self, r, rho_star, seen):
         assert dict(seen)[rho_star]
         assert any(rho_star < x <= rho_star + 1e-8 and not holds for x, holds in seen)
+        assert r - 1e-8 <= rho_star <= r
+
+    @given(st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_contract_on_monotone_margins(self, log_r, closed):
+        # Unseeded, the bisection takes 1e-7, 1 - 1e-12 and at most 27
+        # midpoints, then three spot checks: 32 at most.
+        r = math.exp(log_r)
+        rho_star, seen = self.search(self.predicate(r, closed))
+        self.check_contract(r, rho_star, seen)
         assert len(seen) <= 32
 
     @given(
         st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)),
-        st.sampled_from(sorted(SHAPES)),
-        st.sampled_from([1.1, 0.9, None]),
+        st.booleans(),
+        st.one_of(
+            st.sampled_from([0.0, 1.25e-9, -1.25e-9, 2.5e-9, -2.5e-9, 5e-9, -5e-9]),
+            st.floats(min_value=-1e-8, max_value=1e-8),
+        ),
+        st.sampled_from([1.1, 0.9, None, 1.0]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_contract_with_a_wrong_guess(self, log_r, shape, factor):
-        # A guess 10% above or below the root, or one below 1e-7, which the
-        # search ignores; none may break the contract.  A missed guess adds
-        # its probes to the bisection: over 10^4 roots per shape and guess
-        # the most was 33, every shape 10% low.
-        g, r = self.SHAPES[shape], math.exp(log_r)
-        guess = 5e-8 if factor is None else factor * r
-        rho_star, seen = self.search(lambda rho: g(r - rho) > 0.0, guess=guess)
-        assert dict(seen)[rho_star]
-        assert any(rho_star < x <= rho_star + 1e-8 and not holds for x, holds in seen)
+    def test_contract_with_a_wrong_guess(self, log_r, closed, offset, factor):
+        # A guess at r + offset (factor 1.0), with offsets that put the root on,
+        # between and just outside the probes at guess -+ 2.5e-9; a guess 10%
+        # above or below the root; or one below 1e-7, which the search ignores.
+        # None may break the contract.  A missed guess adds its probes to the
+        # bisection: 33 tests at most, the most when the guess is low.
+        r = math.exp(log_r)
+        below = self.predicate(r, closed)
+        guess = 5e-8 if factor is None else factor * r + (offset if factor == 1.0 else 0.0)
+        rho_star, seen = self.search(below, guess=guess)
+        self.check_contract(r, rho_star, seen)
         assert len(seen) <= 33
         if factor is None:
-            assert (rho_star, seen) == self.search(lambda rho: g(r - rho) > 0.0)
+            assert (rho_star, seen) == self.search(below)
+        elif factor == 1.0 and abs(offset) <= 1.25e-9:
+            assert len(seen) == 5  # the probes bracket the root at once
 
     def test_a_close_guess_brackets_at_once(self):
         # The probes on each side of the guess close the bracket; three spot

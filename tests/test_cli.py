@@ -64,6 +64,15 @@ def test_cli_imports_only_the_standard_library():
     assert loaded - sys.stdlib_module_names == {"ricbounds"}
 
 
+def test_import_loads_no_typing():
+    # The result records are collections.namedtuple subclasses: without site
+    # (python -S), which may import typing itself, the CLI loads no typing.
+    probe = "import sys, ricbounds.cli; print('typing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_main_builds_no_parser(capsys, monkeypatch):
     # Building the parser costs more than parsing an argv, so it is built
     # once, at import, and main() only parses.
@@ -299,6 +308,14 @@ class TestEmpirical:
                 assert float(row[column]) == local_search(sample, 2, mode, restarts=3, seed=5).estimate
             assert (float(row["ratio_U"]), float(row["ratio_L"])) == ratios
             assert row["error"] == ""
+
+    def test_gram_guard_fills_the_error_column(self, capsys):
+        # n = 2, N = 16385: one column past the Gram guard; the row reports it.
+        code, out, _ = run_cli(capsys, "empirical", "--n", "2", "--sizes", "16385", "--k", "1",
+                               "--restarts", "1")
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["error"] == "a 16385 x 16385 Gram matrix exceeds the guard of 2147483648 bytes"
 
     def test_tiny_instance_matches_exhaustive(self, capsys):
         from ricbounds.empirical import exhaustive_ric, sample_gaussian

@@ -189,6 +189,28 @@ class TestExhaustive:
             exhaustive_ric(sample_gaussian(2, 20000, 0), 10000)
 
 
+class TestGramGuard:
+    """The N x N Gram matrix is refused past GRAM_GUARD_BYTES, before it is formed.
+    The samples have n = 1, so their entries take 8 N bytes."""
+
+    def test_refuses_past_the_budget(self):
+        assert 8 * 16384**2 == empirical.GRAM_GUARD_BYTES
+        s = sample_gaussian(1, 16385, 0)
+        with pytest.raises(GuardError, match=r"a 16385 x 16385 Gram matrix exceeds the guard of 2147483648 bytes"):
+            s.gram
+        with pytest.raises(GuardError, match="Gram matrix"):
+            local_search(s, 1, "upper", restarts=1)
+        # C(10^6, 1) passes the support-count guard; the Gram guard refuses.
+        with pytest.raises(GuardError, match="Gram matrix"):
+            exhaustive_ric(sample_gaussian(1, 10**6, 0), 1)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(empirical, "GRAM_GUARD_BYTES", 8 * 10**2)
+        assert sample_gaussian(1, 10, 0).gram.shape == (10, 10)
+        with pytest.raises(GuardError):
+            sample_gaussian(1, 11, 0).gram
+
+
 def _per_support_exhaustive(sample, k):
     """Exhaustive enumeration with one eigvalsh call per support: the loop
     that the chunked enumeration replaced, kept as an oracle.  lambda_min is

@@ -144,9 +144,9 @@ class TestNetExponents:
             for r in (g, 0.5 * g, 1e-3 * g):
                 scale = 1.0 + g + shannon_entropy(r * d)
                 tol = 8.0 * math.ulp(scale)
-                assert _net_foot(1.0, d, r, g) == pytest.approx(_net_max_raw(1.0 + g, d, r, g), rel=0.0, abs=tol)
+                assert _net_foot(1.0, d, r, g, shannon_entropy(r * d)) == pytest.approx(_net_max_raw(1.0 + g, d, r, g), rel=0.0, abs=tol)
                 lower = _net_min_log_lambda(math.log1p(-g), d, r, g)
-                assert _net_foot(-1.0, d, r, g) == pytest.approx(lower, rel=0.0, abs=tol)
+                assert _net_foot(-1.0, d, r, g, shannon_entropy(r * d)) == pytest.approx(lower, rel=0.0, abs=tol)
 
     @pytest.mark.parametrize("rho", [1e-20, 1e-150])
     @pytest.mark.parametrize("d", [0.01, 0.5, 0.99])
@@ -163,7 +163,7 @@ class TestNetExponents:
                 if sign < 0:
                     psi += H(mr)
                 ref = float(md * psi + H(mr * md))
-                assert _net_foot(float(sign), d, rho, rho) == pytest.approx(ref, rel=1e-14, abs=0.0)
+                assert _net_foot(float(sign), d, rho, rho, shannon_entropy(rho * d)) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestProblemShape:
