@@ -52,8 +52,11 @@ _LOWER_CAP = 1.0 - 1e-9  # top of the lower BT gamma search's interval [rho, _LO
 # defined; the bound there is continuous in nu.
 _NU_TOP = 1.0 - 1e-12
 
-# Step cap of the root loops: _newton and the phase search.
+# Step cap of _newton.
 _ROOT_STEPS = 200
+# Relative offset of the phase search's two probes around the predicted crossing:
+# 2.5 times the 6.3e-11 to 7.9e-11 that the BT and BCT threshold test's slack needs.
+_ETA = 2e-10
 
 
 class AsymptoticBound(namedtuple("AsymptoticBound", (
@@ -351,10 +354,8 @@ def bct_bounds(delta: float, rho: float) -> AsymptoticBound:
 def ct_bounds(delta: float, rho: float) -> AsymptoticBound:
     """Closed-form bounds from extreme singular value concentration."""
     _validate_point(delta, rho)
-    spread = math.sqrt(2.0 / delta * shannon_entropy(delta * rho))
-    edge = 1.0 - math.sqrt(rho) - spread
-    log_min = 2.0 * math.log(edge) if edge > 0.0 else -math.inf
-    return _bound("CT", delta, rho, 2.0 * math.log1p(math.sqrt(rho) + spread), log_min)
+    s = math.sqrt(rho) + math.sqrt(2.0 / delta * shannon_entropy(delta * rho))
+    return _bound("CT", delta, rho, 2.0 * math.log1p(s), 2.0 * math.log1p(-s) if s < 1.0 else -math.inf)
 
 
 def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
@@ -421,12 +422,13 @@ def _crossing(delta, family):
 
 
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
-    """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, by _phase_search
-    from the guess of _crossing.  BT and BCT decide by _below_threshold with no lambda solve:
-    after the crossing's Newton steps (2 to 6 net-exponent evaluations), 5 tests of two
-    entropies each, plus two psi terms each for BCT or once per curve for BT.  CT decides by
-    its closed forms.  BT refuses delta < 2**-52, as its bounds do.  L and U bound RICs of
-    order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
+    """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, within 2e-10
+    relative below the boundary: _phase_search certifies the crossing that _crossing predicts
+    or raises SolverError.  BT and BCT decide by _below_threshold with no lambda solve: after
+    the crossing's Newton steps (2 to 6 net-exponent evaluations), 5 tests of two entropies
+    each, plus two psi terms each for BCT or once per curve for BT.  CT decides by its closed
+    forms.  BT refuses delta < 2**-52, as its bounds do.  L and U bound RICs of order k = rho
+    n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
     _validate_point(delta, 0.5)
     guess, gamma = _crossing(delta, family)
     if family == "BT":
@@ -442,31 +444,13 @@ def l1_phase_transition(delta: float, family: str = "BT") -> float:
     return _phase_search(below, delta, guess)
 
 
-def _phase_search(below, delta: float, guess=None) -> float:
-    """Largest rho where below(rho) holds; delta only names the curve in errors.  lo is
-    the largest rho seen where it holds, hi the smallest where it fails.  A guess in (1e-7
-    + 1e-8, 1 - 1e-12 - 1e-8) is probed at guess -+ 2.5e-9, lower side first; else, or
-    where that misses, it bisects: 1e-7 while no rho holds (a failure returns 0.0), 1 -
-    1e-12 while none fails (success raises SolverError), then midpoints.  It stops at hi -
-    lo <= 1e-8 and returns lo, after spot checks of monotone feasibility at fractions of lo."""
-    start, top, tol = 1e-7, 1.0 - 1e-12, 1e-8
-    seeded = guess is not None and start + tol < guess < top - tol
-    first, second = (guess - 0.25 * tol, guess + 0.25 * tol) if seeded else (start, top)
-    lo, hi, x = 0.0, math.inf, first  # lo = 0.0 until a feasible rho is seen
-    for _ in range(_ROOT_STEPS):
-        if below(x):
-            if x == top:
-                raise SolverError(f"still feasible at rho={top!r} (delta={delta})")
-            lo = x
-        elif x == start:
-            return 0.0
-        else:
-            hi = x
-        if hi - lo <= tol:
-            break
-        x = start if lo == 0.0 else second if x == first else top if hi == math.inf else 0.5 * (lo + hi)
-    else:
-        raise SolverError(f"phase search left [{lo!r}, {hi!r}] wider than {tol:g} (delta={delta})")
+def _phase_search(below, delta: float, guess: float) -> float:
+    """rho* = guess (1 - _ETA), certified: below holds there and fails at guess (1 + _ETA),
+    tested in that order, then holds at three fractions of rho* (monotone feasibility).
+    Any failed test raises SolverError naming delta and the guess or rho*."""
+    lo = guess * (1.0 - _ETA)
+    if not below(lo) or below(guess * (1.0 + _ETA)):
+        raise SolverError(f"predicted crossing rho={guess!r} fails its {_ETA:g} certificate (delta={delta})")
     for frac in (0.25, 0.5, 0.9):
         if not below(frac * lo):
             raise SolverError(f"feasibility not monotone below rho*={lo} at delta={delta}")

@@ -12,6 +12,7 @@ from ricbounds.asymptotic import (
     FAMILIES,
     L1_THRESHOLD,
     RESIDUAL_TOL,
+    _ETA,
     GammaOptimum,
     _below_threshold,
     _crossing,
@@ -98,6 +99,16 @@ def bounds_below(family, delta, rho):
     """max(L, U) < sqrt(2) - 1 from compute_bounds(family, delta, rho)."""
     b = compute_bounds(family, delta, rho)
     return max(b.L, b.U) < L1_THRESHOLD
+
+
+def last_holding(holds, lo, hi):
+    """The last rho where holds(rho), bisected to one ulp from lo, where it holds,
+    and hi, where it fails."""
+    assert holds(lo) and not holds(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
 
 
 def phase_predicate(delta, family):
@@ -496,6 +507,27 @@ class TestFamilies:
         for got, cap in ((bt.U, bct.U), (bt.L, bct.L)):
             assert got <= cap + 2.0 * math.ulp(cap)
 
+    @pytest.mark.parametrize("r", [1e-300, 1e-150, 1e-40, 1e-20, 1e-16, 1e-8, 1e-4, 1e-2, 0.03])
+    def test_ct_small_rho_closed_form(self, r):
+        # With s = sqrt(rho) + sqrt(2 H(delta rho) / delta), CT's levels are
+        # (1 -+ s)^2, so U = s (2 + s) and, while s < 1, L = s (2 - s): both
+        # within 1.7 ulps of these products at 10^5 random points, rho down to
+        # 1e-300.  Once s reaches 1, L is clamped to 1.
+        few = 4.0 * 2.0**-52
+        for d in (1e-6, 1e-3, 0.05, 0.5, 0.999):
+            s = math.sqrt(r) + math.sqrt(2.0 / d * shannon_entropy(d * r))
+            b = ct_bounds(d, r)
+            assert b.U == pytest.approx(s * (2.0 + s), rel=few, abs=0.0)
+            assert b.L == (pytest.approx(s * (2.0 - s), rel=few, abs=0.0) if s < 1.0 else 1.0)
+
+    @given(st.floats(math.log(1e-9), math.log(0.999)), st.floats(math.log(1e-290), math.log(0.999)))
+    @settings(max_examples=200, deadline=None)
+    def test_ct_lower_at_or_below_upper(self, log_d, log_r):
+        # L = s (2 - s) < U = s (2 + s) for every s > 0, and the clamp L = 1
+        # applies only where s >= 1, so U >= 3 > L there.
+        b = ct_bounds(math.exp(log_d), math.exp(log_r))
+        assert 0.0 < b.L <= b.U
+
     def test_bct_solves_lambda_three_times(self, monkeypatch):
         calls = {"max": 0, "min": 0}
 
@@ -569,38 +601,39 @@ class TestPhaseTransition:
             assert net_calls[0] <= 6
             assert threshold_calls["tests"] == 5
 
-    # rho* at criterion 9's deltas, 0.05 + (0.9524 - 0.05) i / 49, as the curve
-    # found it when each threshold test still evaluated both full net exponents.
+    # rho* at criterion 9's deltas, 0.05 + (0.9524 - 0.05) i / 49, as the certified
+    # crossing gives it: each lies 1.99994e-10 to 2.00004e-10 relative below the last
+    # rho where max(L, U) < sqrt(2) - 1, bisected to one ulp.
     PINNED = {
         "BT": [
-            0.0024824871630265343, 0.0025486494667303094, 0.002601516293422747, 0.0026459157877927616,
-            0.002684406622668062, 0.0027185182922591236, 0.002749242368266278, 0.0027772605354978693,
-            0.0028030627699740136, 0.0028270137876992294, 0.002849392839132224, 0.0028704187714200225,
-            0.002890266475878672, 0.0029090780590308603, 0.0029269706539425486, 0.0029440420204798314,
-            0.0029603746484060623, 0.0029760388212830397, 0.0029910949431622065, 0.003005595332096758,
-            0.0030195856213328497, 0.0030331058673199883, 0.0030461914355427297, 0.003058873715828377,
-            0.0030711807052525796, 0.003083137487145597, 0.003094766627768307, 0.003106088507159437,
-            0.00311712159690892, 0.0031278826948091198, 0.0031383871242168133, 0.0031486489043419477,
-            0.0031586808964337073, 0.0031684949298668554, 0.0031781019113735565, 0.003187511920068815,
-            0.0031967342904423847, 0.0032057776851108152, 0.003214650158817622, 0.003223359214922385,
-            0.0032319118554179544, 0.003240314625351217, 0.0032485736523860855, 0.003256694682136541,
-            0.003264683109804062, 0.0032725440085765753, 0.0032802821551808363, 0.003287902052926102,
-            0.003295407952530761, 0.003302803870984268,
+            0.0024824896625300365, 0.002548651966220579, 0.002601518792902443, 0.0026459182872635776,
+            0.00268440912213118, 0.0027185207917154192, 0.0027492448677164287, 0.0027772630349424164,
+            0.0028030652694134004, 0.002827016287133826, 0.0028493953385623446, 0.0028704212708459383,
+            0.002890268975300618, 0.002909080558449044, 0.002926973153357154, 0.0029440445198910224,
+            0.002960377147813987, 0.0029760413206878313, 0.002991097442563987, 0.0030055978314956384,
+            0.003019588120728932, 0.0030331083667133668, 0.003046193934933491, 0.003058876215216602,
+            0.003071183204638343, 0.003083139986528969, 0.0030947691271493534, 0.003106091006538219,
+            0.003117124096285495, 0.0031278851941835425, 0.0031383896235891353, 0.0031486514037122174,
+            0.0031586833958019704, 0.0031684974292331557, 0.0031781044107379356, 0.003187514419431312,
+            0.003196736789803037, 0.0032057801844696593, 0.0032146526581746915, 0.0032233617142777126,
+            0.0032319143547715713, 0.0032403171247031536, 0.0032485761517363704, 0.0032566971814852012,
+            0.0032646856091511248, 0.003272546507922066, 0.0032802846545247795, 0.003287904552268521,
+            0.003295410451871679, 0.0033028063703237067,
         ],
         "BCT": [
-            0.0024736577386125667, 0.002539186137729478, 0.0025915260191053404, 0.002635468703359466,
-            0.002673552832474999, 0.00270729567023893, 0.0027376807157273773, 0.002765384016662092,
-            0.002790891440824813, 0.0028145646079504477, 0.002836680370823749, 0.0028574556779487384,
-            0.0028770638887252674, 0.0028956458537818196, 0.002913317662333961, 0.0029301761961995996,
-            0.0029463031987582706, 0.002961768313177635, 0.002976631389475157, 0.0029909442628018364,
-            0.0030047521426630965, 0.0030180947114084424, 0.003031007002408982, 0.003043520109151509,
-            0.0030556617630544966, 0.003067456808271624, 0.003078927594870476, 0.0030900943067499755,
-            0.003100975236942856, 0.0031115870201705595, 0.0031219448304170357, 0.003132062549683856,
-            0.003141952912854683, 0.003151627632637233, 0.003161097507800346, 0.003170372517330682,
-            0.0031794619026635647, 0.0031883742397653667, 0.003197117502542736, 0.0032056991188083943,
-            0.003214126019833677, 0.0032224046843551822, 0.0032305411777679037, 0.003238541187127047,
-            0.0032464100524879588, 0.003254152795037265, 0.0032617741424036516, 0.0032692785514832822,
-            0.0032766702290681527, 0.0032839531505284613,
+            0.0024736602381178344, 0.0025391886372216404, 0.0025915285185870345, 0.0026354712028323715,
+            0.002673555331940288, 0.0027072981696974704, 0.0027376832151798404, 0.0027653865161090144,
+            0.002790893940266634, 0.0028145671073875342, 0.0028366828702564126, 0.002857458177377247,
+            0.002877066388149854, 0.00289564835320269, 0.002913320161751297, 0.0029301786956135636,
+            0.0029463056981690093, 0.0029617708125852806, 0.00297663388887983, 0.002990946762203647,
+            0.0030047546420621453, 0.003018097210804823, 0.0030310095018027798, 0.0030435226085428046,
+            0.0030556642624433635, 0.0030674593076581323, 0.00307893009425469, 0.003090096806131956,
+            0.0031009777363226604, 0.0031115895195482413, 0.0031219473297926462, 0.003132065049057443,
+            0.003141955412226292, 0.003151630132006907, 0.003161100007168126, 0.003170375016696607,
+            0.003179464402027672, 0.0031883767391276915, 0.003197120001903312, 0.003205701618167254,
+            0.0032141285191908515, 0.0032224071837107008, 0.003230543677121795, 0.003238543686479338,
+            0.003246412551838676, 0.003254155294386434, 0.0032617766417512963, 0.003269281050829426,
+            0.003276672728412818, 0.0032839556498716702,
         ],
     }
 
@@ -612,26 +645,46 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_point_takes_few_bound_calls(self, d, family):
-        # Each family probes its predicted crossing -+ 2.5e-9, which brackets
-        # rho* at once, and spot-checks three fractions of rho*: five calls of
-        # its predicate.  Each search ends on a bracket no wider than 1e-8.
+        # Each family probes its predicted crossing at 1 -+ 2e-10 relative,
+        # which certifies it, and spot-checks three fractions of rho*: five
+        # calls of its predicate.  rho*, the lower probe, holds; the upper one,
+        # (1 + 2e-10) / (1 - 2e-10) - 1 = 4e-10 relative above it, fails.
         rho_star, _, seen = phase_predicate(d, family)
         assert len(seen) == 5
         assert dict(seen)[rho_star]
-        assert any(rho_star < x <= rho_star + 1e-8 and not holds for x, holds in seen)
+        assert any(rho_star < x <= rho_star * (1.0 + 4.001e-10) and not holds for x, holds in seen)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9])
     def test_matches_a_plain_bisection(self, d, family):
         # Bisection on compute_bounds, from a feasible 1e-7 and an infeasible
-        # 0.1 down to a 1e-10 bracket, so its lo lies within 1e-10 below the
-        # crossing and the search's within 1e-8.
-        lo, hi = 1e-7, 0.1
-        assert bounds_below(family, d, lo) and not bounds_below(family, d, hi)
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if bounds_below(family, d, mid) else (lo, mid)
-        assert abs(l1_phase_transition(d, family) - lo) <= 1e-8
+        # 0.1 down to one ulp, so ref is the crossing, and the search's rho*
+        # lies within 4e-10 relative of it.
+        ref = last_holding(lambda rho: bounds_below(family, d, rho), 1e-7, 0.1)
+        assert abs(l1_phase_transition(d, family) - ref) <= 4e-10 * ref
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_within_eta_below_an_ulp_bisection(self, family):
+        # rho* is the predicted crossing less 2e-10 relative, and the prediction
+        # lies within 6e-15 relative of the crossing.  So rho* lies at or below
+        # the last rho where max(L, U) < sqrt(2) - 1, bisected to one ulp inside
+        # [rho*, rho* (1 + 4e-10)], and within 2.0001e-10 relative of it
+        # (at most 2.00005e-10 over 22,011 deltas from 2.5e-16 to 1 - 1e-12).
+        deltas = [0.05 + (0.9524 - 0.05) * i / 49 for i in range(50)] + [1e-9, 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+        for d in deltas:
+            rho_star = l1_phase_transition(d, family)
+            ref = last_holding(lambda rho: bounds_below(family, d, rho), rho_star, rho_star * (1.0 + 4e-10))
+            assert ref * (1.0 - 2.0001e-10) <= rho_star <= ref
+
+    def test_a_prediction_that_fails_its_certificate_raises(self, monkeypatch):
+        # A guess 1% off the crossing is neither rounded onto it nor searched
+        # from: the curve raises SolverError (exit 3) naming delta and the guess.
+        for factor in (0.99, 1.01):
+            rho, gamma = _crossing(0.5, "BCT")
+            monkeypatch.setattr(asymptotic, "_crossing", lambda d, f: (factor * rho, gamma))
+            with pytest.raises(SolverError, match=rf"rho={factor * rho!r} fails its 2e-10 certificate \(delta=0\.5\)") as err:
+                l1_phase_transition(0.5, "BCT")
+            assert err.value.exit_code == 3
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0 - 1e-12])
@@ -704,9 +757,9 @@ class TestBelowThreshold:
     @settings(max_examples=300, deadline=None)
     def test_decides_as_compute_bounds(self, family, d, r):
         # The curve's predicate is the whole decision, not a sufficient test,
-        # away from the 1e-8 band where the search brackets the crossing.
+        # away from the 4e-10 rho* band where the search certifies the crossing.
         rho_star, below, _ = phase_predicate(d, family)
-        if abs(r - rho_star) > 1e-8:
+        if abs(r - rho_star) > 4e-10 * rho_star:
             assert below(r) == bounds_below(family, d, r)
 
     @given(
@@ -743,12 +796,7 @@ class TestBelowThreshold:
         # never past it: bisected to one ulp, the last rho where it holds
         # still has max(L, U) below sqrt(2) - 1.
         rho_star, below, _ = phase_predicate(d, family)
-        lo, hi = rho_star, rho_star + 1e-8
-        assert below(lo) and not below(hi)
-        while math.nextafter(lo, hi) < hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if below(mid) else (lo, mid)
-        assert bounds_below(family, d, lo)
+        assert bounds_below(family, d, last_holding(below, rho_star, rho_star * (1.0 + 4e-10)))
 
     @pytest.mark.parametrize("family", ["BT", "BCT"])
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 0.05, 0.5, 0.95])
@@ -772,12 +820,12 @@ class TestBelowThreshold:
     @settings(max_examples=150, deadline=None)
     def test_holding_at_gamma_rho_means_feasible(self, d, f):
         # U and L at gamma = rho bound BT's from above and are BCT's, so
-        # where the test holds there, max(L, U) < sqrt(2) - 1.  At rho* +
-        # 1e-8, past the search's infeasible bracket end, max(L, U) is not
-        # below, so the test must fail there.
+        # where the test holds there, max(L, U) < sqrt(2) - 1.  At rho* (1 +
+        # 4e-10), past the search's failing probe, max(L, U) is not below, so
+        # the test must fail there.
         for family in ("BT", "BCT"):
             rho_star = l1_phase_transition(d, family)
-            above = rho_star + 1e-8
+            above = rho_star * (1.0 + 4e-10)
             assert not bounds_below(family, d, above) and not _below_threshold(d, above, above)
             r = min(f * rho_star, 0.999)
             if _below_threshold(d, r, r):
@@ -793,10 +841,11 @@ class TestBelowThreshold:
         # For BT the test is sound at any gamma in [rho, sqrt(2) - 1): U and L
         # there bound BT's optimized U and L from above.  Tried at the
         # crossing's gamma, which the curve uses, and at a drawn one; at rho*
-        # + 1e-8, where max(L, U) is not below sqrt(2) - 1, it must fail at both.
+        # (1 + 4e-10), where max(L, U) is not below sqrt(2) - 1, it must fail
+        # at both.
         rho_star = l1_phase_transition(d, "BT")
         gamma_crossing = _crossing(d, "BT")[1]
-        above = rho_star + 1e-8
+        above = rho_star * (1.0 + 4e-10)
         for r in (above, min(f * rho_star, 0.999)):
             for g in (gamma_crossing, r + t * (L1_THRESHOLD - r)):
                 if _below_threshold(d, r, g):
@@ -807,9 +856,9 @@ class TestPhaseSearch:
     """The phase search on synthetic monotone predicates: rho < r, or rho <= r."""
 
     @staticmethod
-    def search(below, guess=None):
-        """rho* from the phase search on below(rho), and every (rho, below(rho))
-        pair it asked, spot checks included."""
+    def search(below, guess):
+        """rho* from the phase search on below(rho) from the guess, or the SolverError
+        it raised, and every (rho, below(rho)) pair it asked, spot checks included."""
         seen = []
 
         def counted(rho):
@@ -817,7 +866,10 @@ class TestPhaseSearch:
             seen.append((rho, holds))
             return holds
 
-        return _phase_search(counted, 0.5, guess), seen
+        try:
+            return _phase_search(counted, 0.5, guess), seen
+        except SolverError as err:
+            return err, seen
 
     @staticmethod
     def predicate(r, closed):
@@ -826,83 +878,55 @@ class TestPhaseSearch:
         # of these two.
         return (lambda rho: rho <= r) if closed else (lambda rho: rho < r)
 
-    def check_contract(self, r, rho_star, seen):
-        assert dict(seen)[rho_star]
-        assert any(rho_star < x <= rho_star + 1e-8 and not holds for x, holds in seen)
-        assert r - 1e-8 <= rho_star <= r
-
-    @given(st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)), st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_contract_on_monotone_margins(self, log_r, closed):
-        # Unseeded, the bisection takes 1e-7, 1 - 1e-12 and at most 27
-        # midpoints, then three spot checks: 32 at most.
-        r = math.exp(log_r)
-        rho_star, seen = self.search(self.predicate(r, closed))
-        self.check_contract(r, rho_star, seen)
-        assert len(seen) <= 32
-
     @given(
-        st.floats(min_value=math.log(2e-7), max_value=math.log(0.9)),
+        st.floats(min_value=math.log(1e-300), max_value=math.log(0.9)),
         st.booleans(),
         st.one_of(
-            st.sampled_from([0.0, 1.25e-9, -1.25e-9, 2.5e-9, -2.5e-9, 5e-9, -5e-9]),
-            st.floats(min_value=-1e-8, max_value=1e-8),
+            st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0]),
+            st.floats(min_value=-3.0, max_value=3.0),
         ),
-        st.sampled_from([1.1, 0.9, None, 1.0]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_contract_with_a_wrong_guess(self, log_r, closed, offset, factor):
-        # A guess at r + offset (factor 1.0), with offsets that put the root on,
-        # between and just outside the probes at guess -+ 2.5e-9; a guess 10%
-        # above or below the root; or one below 1e-7, which the search ignores.
-        # None may break the contract.  A missed guess adds its probes to the
-        # bisection: 33 tests at most, the most when the guess is low.
+    def test_contract_with_a_wrong_guess(self, log_r, closed, k):
+        # The root lies at guess (1 + k eta): between the probes at guess (1 -+
+        # eta) for |k| < 1, on them for k = -+1, outside them beyond.  A guess
+        # between them is certified: 2 probes and 3 spot checks.  Any other
+        # raises, after the lower probe when it fails, else after both.  Within
+        # 1e-5 eta of a probe, the probe's rounding may decide either way.
         r = math.exp(log_r)
-        below = self.predicate(r, closed)
-        guess = 5e-8 if factor is None else factor * r + (offset if factor == 1.0 else 0.0)
-        rho_star, seen = self.search(below, guess=guess)
-        self.check_contract(r, rho_star, seen)
-        assert len(seen) <= 33
-        if factor is None:
-            assert (rho_star, seen) == self.search(below)
-        elif factor == 1.0 and abs(offset) <= 1.25e-9:
-            assert len(seen) == 5  # the probes bracket the root at once
+        guess = r / (1.0 + k * _ETA)
+        lower, upper = guess * (1.0 - _ETA), guess * (1.0 + _ETA)
+        got, seen = self.search(self.predicate(r, closed), guess)
+        if isinstance(got, SolverError):
+            assert f"rho={guess!r}" in str(got) and "delta=0.5" in str(got)
+            assert seen == ([(lower, False)] if k < 0.0 else [(lower, True), (upper, True)])
+            assert abs(k) >= 1.0 - 1e-5
+        else:
+            assert got == lower and seen[:2] == [(lower, True), (upper, False)] and len(seen) == 5
+            assert abs(k) <= 1.0 + 1e-5
 
     def test_a_close_guess_brackets_at_once(self):
         # The probes on each side of the guess close the bracket; three spot
         # checks follow.
         rho_star, seen = self.search(lambda rho: rho < 0.3, guess=0.3)
-        quarter = 0.25 * 1e-8
-        assert [x for x, _ in seen[:2]] == pytest.approx([0.3 - quarter, 0.3 + quarter], abs=1e-16)
+        assert [x for x, _ in seen[:2]] == [0.3 * (1.0 - _ETA), 0.3 * (1.0 + _ETA)]
         assert len(seen) == 5
-        assert rho_star == 0.3 - quarter
+        assert rho_star == 0.3 * (1.0 - _ETA)
 
-    def test_a_guess_that_misses_falls_back_to_bisection(self):
-        # A guess 10% low: both probes hold, so the search probes 1 - 1e-12
-        # and bisects down to within 1e-8 below the root.
-        quarter = 0.25 * 1e-8
-        rho_star, seen = self.search(lambda rho: rho < 0.3, guess=0.27)
-        assert [x for x, _ in seen[:3]] == pytest.approx([0.27 - quarter, 0.27 + quarter, 1.0 - 1e-12], abs=1e-16)
-        assert 0.3 - 1e-8 <= rho_star < 0.3
-
-    def test_infeasible_start_returns_zero(self):
-        assert self.search(lambda rho: False) == (0.0, [(1e-7, False)])
-        assert self.search(lambda rho: False, guess=0.3) == (0.0, [(0.3 - 0.25 * 1e-8, False), (1e-7, False)])
-
-    def test_feasible_at_the_cap_raises(self):
-        for guess in (None, 0.5):
-            with pytest.raises(SolverError, match=r"still feasible at rho=0\.999999999999"):
-                self.search(lambda rho: True, guess=guess)
-
-    def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(asymptotic, "_ROOT_STEPS", 2)
-        with pytest.raises(SolverError, match="phase search left"):
-            self.search(lambda rho: rho < 0.3)
+    def test_a_guess_that_misses_raises(self):
+        # 10% low, both probes hold; 10% high, or nowhere feasible, the lower
+        # probe fails; feasible everywhere, both hold.  None returns a value.
+        for below, guess, calls in ((lambda rho: rho < 0.3, 0.27, 2), (lambda rho: rho < 0.3, 0.33, 1),
+                                    (lambda rho: False, 0.3, 1), (lambda rho: True, 0.3, 2)):
+            got, seen = self.search(below, guess)
+            assert isinstance(got, SolverError) and got.exit_code == 3
+            assert re.search(rf"predicted crossing rho={guess!r} fails its 2e-10 certificate \(delta=0\.5\)", str(got))
+            assert len(seen) == calls
 
     def test_non_monotone_margin_raises(self):
-        # Infeasible in a dip below rho*, which the search itself never probes.
-        with pytest.raises(SolverError, match="not monotone"):
-            self.search(lambda rho: not 0.1 < rho < 0.2 and rho < 0.5)
+        # Infeasible in a dip below rho*, which the probes never reach.
+        got, _ = self.search(lambda rho: not 0.1 < rho < 0.2 and rho < 0.5, guess=0.5)
+        assert isinstance(got, SolverError) and "not monotone" in str(got)
 
     def test_spot_checks_ask_fractions_of_rho_star(self):
         rho_star, seen = self.search(lambda rho: rho < 0.3, guess=0.3)

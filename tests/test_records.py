@@ -25,7 +25,9 @@ FIELDS = {
 
 # Every field of twelve results, as the frozen-dataclass records gave them: an
 # interior point, edge optima, tiny rho, rho = 1 - 1e-5, BCT's nu at the top of
-# its interval and CT's clamped L.
+# its interval and CT's clamped L.  CT at rho = 1e-150 is the exception: there L
+# was -0.0 and log_lambda_min 0.0 until CT took 2 log1p(-s), and both now keep
+# their digits, L = s (2 - s).
 PINNED = [
     (("compute_bounds", "BT", 0.5, 0.5),
      ("BT", 0.5, 0.5, 0.9994511974848705, 5.5490154859517045, 0.0005488025151295063, 6.5490154859517045,
@@ -53,8 +55,8 @@ PINNED = [
      ("CT", 0.3, 0.2, 1.0, 6.167944549179582, 0.0, 7.167944549179581, -math.inf, None, None, None, False,
       False, None, None)),
     (("compute_bounds", "CT", 0.5, 1e-150),
-     ("CT", 0.5, 1e-150, -0.0, 5.469390182020434e-74, 1.0, 1.0, 0.0, None, None, None, False, False, None,
-      None)),
+     ("CT", 0.5, 1e-150, 5.469390182020434e-74, 5.469390182020434e-74, 1.0, 1.0, -5.469390182020434e-74, None,
+      None, None, False, False, None, None)),
     (("optimize_gamma_for_max", 0.5, 0.999), (2.0, 2.049119428425847, True, 0.0009995003330834232)),
     (("optimize_gamma_for_min", 0.5, 0.5), (0.5181317647239589, -7.507771898601172, False, -4.010089921723494)),
     (("optimize_gamma_for_min", 0.5, 0.9999999999), (0.9999999999, -27725884976.39951, True, -math.inf)),
