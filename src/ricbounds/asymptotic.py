@@ -19,8 +19,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, SolverError
-from .rates import (_entropy_ratio_term, _net_foot, _net_max_raw, _net_min_log_lambda, _psi_max, _psi_min,
-                    _validate_point, shannon_entropy)
+from .rates import _net_foot, _net_max_raw, _net_min_log_lambda, _validate_point, shannon_entropy
 
 __all__ = [
     "AsymptoticBound",
@@ -41,7 +40,6 @@ __all__ = [
 FAMILIES = ("BT", "BCT", "CT")
 
 L1_THRESHOLD = math.sqrt(2.0) - 1.0
-_LOG_LAM_LO = math.log1p(-L1_THRESHOLD)  # ln lambda = ln(2 - sqrt(2)) where L meets the threshold
 
 # Root residual target for the implicit lambda equations.
 RESIDUAL_TOL = 1e-12
@@ -365,22 +363,15 @@ def compute_bounds(family: str, delta: float, rho: float) -> AsymptoticBound:
     return {"BT": bt_bounds, "BCT": bct_bounds, "CT": ct_bounds}[family](delta, rho)
 
 
-def _threshold_level(delta, gamma):
-    """delta max(psi_max(sqrt(2), gamma), psi_min(2 - sqrt(2), gamma)), gamma < sqrt(2) - 1."""
-    return delta * max(_psi_max(1.0 + L1_THRESHOLD, gamma), _psi_min(1.0 - L1_THRESHOLD, _LOG_LAM_LO, gamma))
-
-
-def _below_threshold(delta, rho, gamma, level=None):
-    """True when U and L at one gamma in [rho, sqrt(2) - 1) lie below sqrt(2) - 1: the net
-    exponents F at lambda = sqrt(2) and 2 - sqrt(2) are negative only past their roots.  As
-    rounding is monotone, the larger F is level + H(rho delta) - delta gamma H(rho/gamma) as
-    rounded; level is _threshold_level's unless passed.  U and L at such a gamma bound BT's
-    from above; at gamma = rho they are BCT's.  dF/drho = delta ln((1 - rho delta) / (delta
-    (gamma - rho))) > 0, and BT's crossing gamma minimises F at lambda = sqrt(2) there, so the
-    test holds below the crossing and fails above it; its slack covers F's rounding."""
+def _below_threshold(delta, rho, gamma):
+    """True when U and L at one gamma in [rho, sqrt(2) - 1) lie below sqrt(2) - 1, decided by U's
+    net exponent F at lambda = sqrt(2) (F < 0 only past its root): L's at 2 - sqrt(2) shares F's
+    entropy terms, and psi_min(2 - sqrt(2), gamma) <= psi_max(sqrt(2), gamma) - 0.0221 on (0, 1).
+    U and L at such a gamma bound BT's from above; at gamma = rho they are BCT's.  dF/drho = delta
+    ln((1 - rho delta) / (delta (gamma - rho))) > 0, and BT's crossing gamma minimises F there, so
+    the test holds below the crossing and fails above it; its slack covers F's rounding."""
     return rho <= gamma < L1_THRESHOLD and (
-        (_threshold_level(delta, gamma) if level is None else level) + shannon_entropy(rho * delta)
-        - delta * _entropy_ratio_term(rho, gamma) < -2.0 * RESIDUAL_TOL * delta)
+        _net_max_raw(1.0 + L1_THRESHOLD, delta, rho, gamma) < -2.0 * RESIDUAL_TOL * delta)
 
 
 def _crossing(delta, family):
@@ -422,25 +413,22 @@ def _crossing(delta, family):
 
 
 def l1_phase_transition(delta: float, family: str = "BT") -> float:
-    """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, within 2e-10
-    relative below the boundary: _phase_search certifies the crossing that _crossing predicts
-    or raises SolverError.  BT and BCT decide by _below_threshold with no lambda solve: after
-    the crossing's Newton steps (2 to 6 net-exponent evaluations), 5 tests of two entropies
-    each, plus two psi terms each for BCT or once per curve for BT.  CT decides by its closed
-    forms.  BT refuses delta < 2**-52, as its bounds do.  L and U bound RICs of order k = rho
-    n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
+    """Largest rho where max(L, U) < sqrt(2) - 1 under the given family, within 2e-10 relative
+    below the boundary: _phase_search certifies the crossing that _crossing predicts or raises
+    SolverError.  U alone decides, as L is below wherever U is: BT and BCT test U's net exponent
+    by _below_threshold, CT its closed form, 5 times after the crossing's 2 to 6 Newton steps.
+    BT refuses delta < 2**-52 before any evaluation, as its bounds do.  L and U bound RICs of
+    order k = rho n, so by delta_2k < sqrt(2) - 1 it certifies (rho/2) n-sparse recovery."""
     _validate_point(delta, 0.5)
-    guess, gamma = _crossing(delta, family)
     if family == "BT":
         _check_upper_delta(delta)
-        level = _threshold_level(delta, gamma) if gamma < L1_THRESHOLD else None
-        below = lambda rho: _below_threshold(delta, rho, gamma, level)
+    guess, gamma = _crossing(delta, family)
+    if family == "BT":
+        below = lambda rho: _below_threshold(delta, rho, gamma)
     elif family == "BCT":
         below = lambda rho: _below_threshold(delta, rho, rho)
     else:
-        def below(rho):
-            b = ct_bounds(delta, rho)
-            return max(b.L, b.U) < L1_THRESHOLD
+        below = lambda rho: ct_bounds(delta, rho).U < L1_THRESHOLD
     return _phase_search(below, delta, guess)
 
 

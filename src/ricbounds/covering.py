@@ -115,7 +115,10 @@ class CoveringBound(namedtuple("CoveringBound", ("log_envelope", "log_intermedia
 
     envelope is the closed-form bound (5/4)(2 pi k (1-k/N))^(-1/2)
     e^(-N(1-ln 2)); intermediate is the union-bound step C(N,k) e^(-u/r)
-    it is derived from.  Linear values underflow to 0.0 past e^-745.
+    it is derived from.  Linear values underflow to 0.0 past e^-745.  As
+    it bounds a probability, intermediate is clamped at 1.0, as TailBound.total
+    is, where e^log_intermediate exceeds 1 or overflows for small u;
+    log_intermediate stays unclamped.
     """
 
     __slots__ = ()
@@ -126,7 +129,7 @@ class CoveringBound(namedtuple("CoveringBound", ("log_envelope", "log_intermedia
 
     @property
     def intermediate(self) -> float:
-        return math.exp(self.log_intermediate)
+        return math.exp(min(self.log_intermediate, 0.0))
 
 
 def covering_bound(plan: CoveringPlan) -> CoveringBound:

@@ -1,11 +1,12 @@
-"""Scalar rate functions shared by every other module.
+"""Scalar rate functions of the asymptotic and finite-size bounds.
 
 Shannon entropy, the large-deviation exponents of the extreme Wishart
 eigenvalue densities, the combined net exponents whose roots define the
 bound values, and the Stirling / Binet inequalities.  The last two document
 steps of the paper's finite-size proof: acceptance criterion 10 tests them,
 and nothing else in the package calls them.  Everything here is a pure
-function of floats; all logarithms are natural.
+function of floats; all logarithms are natural.  Only asymptotic and finite
+call it; the package re-exports its public names.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from ricbounds.asymptotic import (
     _lambert_y,
     _newton,
     _phase_search,
-    _threshold_level,
     bct_bounds,
     bt_bounds,
     compute_bounds,
@@ -32,7 +31,7 @@ from ricbounds.asymptotic import (
     stationarity_residual,
 )
 from ricbounds.errors import DomainError, RicBoundsError, SolverError
-from ricbounds.rates import _net_foot, _net_max_raw, _net_min_log_lambda, shannon_entropy
+from ricbounds.rates import _net_foot, _net_max_raw, _net_min_log_lambda, psi_max, psi_min, shannon_entropy
 
 mpmath.mp.dps = 40
 
@@ -64,18 +63,14 @@ def net_calls(monkeypatch):
 
 @pytest.fixture
 def threshold_calls(monkeypatch):
-    """Counts the phase curve's threshold tests and its psi-level computations."""
-    calls = {"tests": 0, "levels": 0}
+    """Counts the phase curve's threshold tests."""
+    calls = {"tests": 0}
 
-    def counted(fn, key):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
+    def counted(*args):
+        calls["tests"] += 1
+        return _below_threshold(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(asymptotic, "_below_threshold", counted(_below_threshold, "tests"))
-    monkeypatch.setattr(asymptotic, "_threshold_level", counted(_threshold_level, "levels"))
+    monkeypatch.setattr(asymptotic, "_below_threshold", counted)
     return calls
 
 
@@ -582,23 +577,22 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("family", [pytest.param("BT", id="BT-700"), pytest.param("BCT", id="BCT-450")])
     @pytest.mark.parametrize("d", [0.05, 0.5, 0.95])
     def test_phase_takes_few_evaluations(self, d, family, net_calls, threshold_calls, newton_steps):
-        # Every net evaluation is a Newton step of the predicted crossing, 4 at
-        # these deltas.  The five threshold tests evaluate no full net exponent:
-        # BT computes its psi level once per curve, BCT once per test.
+        # The predicted crossing's Newton steps, 4 at these deltas, then five
+        # threshold tests, each one net evaluation: U's at sqrt(2).
         l1_phase_transition(d, family)
-        assert net_calls[0] == newton_steps[0] <= 4
-        assert threshold_calls == {"tests": 5, "levels": 1 if family == "BT" else 5}
+        assert net_calls[0] == newton_steps[0] + 5 and newton_steps[0] <= 4
+        assert threshold_calls == {"tests": 5}
 
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 0.05, 0.5, 0.95])
-    def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls, threshold_calls):
-        # 2 to 6 net evaluations for BT and for BCT over 2200 deltas from 1e-9
-        # to 1 - 1e-12, all of them the predicted crossing's Newton steps; then
-        # two probes and three spot checks of the threshold test, none of them
-        # a lambda solve or a full net exponent.
+    def test_phase_takes_two_evaluations_per_lambda_solve(self, d, net_calls, threshold_calls, newton_steps):
+        # 2 to 6 Newton steps of the predicted crossing for BT and for BCT over
+        # 2200 deltas from 1e-9 to 1 - 1e-12, one net evaluation each; then two
+        # probes and three spot checks of the threshold test, one net evaluation
+        # each and no lambda solve.
         for family in ("BT", "BCT"):
-            net_calls[0] = threshold_calls["tests"] = 0
+            net_calls[0] = newton_steps[0] = threshold_calls["tests"] = 0
             l1_phase_transition(d, family)
-            assert net_calls[0] <= 6
+            assert net_calls[0] == newton_steps[0] + 5 and newton_steps[0] <= 6
             assert threshold_calls["tests"] == 5
 
     # rho* at criterion 9's deltas, 0.05 + (0.9524 - 0.05) i / 49, as the certified
@@ -716,11 +710,12 @@ class TestPhaseTransition:
         assert net_calls[0] == 0
 
     @pytest.mark.parametrize("d", [1e-20, 1e-300])
-    def test_bt_refuses_delta_below_one_ulp(self, d):
-        # As its bounds do; BCT and CT have no gamma = 1/delta edge and still
-        # return a value.
+    def test_bt_refuses_delta_below_one_ulp(self, d, net_calls):
+        # As its bounds do, before any evaluation; BCT and CT have no gamma =
+        # 1/delta edge and still return a value.
         with pytest.raises(DomainError, match=r"2\*\*-52"):
             l1_phase_transition(d, "BT")
+        assert net_calls[0] == 0
         for family in ("BCT", "CT"):
             assert 0.0 < l1_phase_transition(d, family) < 1e-3
 
@@ -775,19 +770,35 @@ class TestBelowThreshold:
     )
     @settings(max_examples=500, deadline=None)
     def test_decides_as_the_larger_full_net_exponent(self, d, r, t):
-        # gamma in [rho, sqrt(2) - 1), gamma = rho at t = 0.  The psi level plus
-        # the shared entropy terms is the larger of the two full net exponents
-        # to the last bit, as rounding is monotone, so the test decides as they
-        # do even within an ulp of the slack, with the level computed or passed.
+        # gamma in [rho, sqrt(2) - 1), gamma = rho at t = 0.  The test is U's net
+        # exponent at sqrt(2) against the slack, even within an ulp of it; L's at
+        # 2 - sqrt(2) lies at least 0.0221 delta below, so U's is the larger.
         g = r + t * (L1_THRESHOLD - r)
         if g >= L1_THRESHOLD:
             return
-        full = max(_net_max_raw(1.0 + L1_THRESHOLD, d, r, g),
-                   _net_min_log_lambda(math.log1p(-L1_THRESHOLD), d, r, g))
-        level = _threshold_level(d, g)
-        assert level + shannon_entropy(r * d) - d * (g * shannon_entropy(r / g)) == full
-        holds = full < -2.0 * RESIDUAL_TOL * d
-        assert _below_threshold(d, r, g) == _below_threshold(d, r, g, level) == holds
+        upper = _net_max_raw(1.0 + L1_THRESHOLD, d, r, g)
+        assert _below_threshold(d, r, g) == (upper < -2.0 * RESIDUAL_TOL * d)
+        assert _net_min_log_lambda(math.log1p(-L1_THRESHOLD), d, r, g) <= upper - 0.0221 * d
+
+    def test_lower_psi_lies_0_0221_below_the_upper(self):
+        # gap(g) = psi_max(sqrt(2), g) - psi_min(2 - sqrt(2), g) has slope
+        # (1/2) ln(2 sqrt(2) - 2) - ln(1 - g), rising through 0 at
+        # g* = 1 - sqrt(2 sqrt(2) - 2), so on (0, 1) it is convex with minimum
+        # (1/2) ln 2 + 2 - sqrt(2) - sqrt(2 sqrt(2) - 2) = 0.0221803 at g*.
+        s2 = mpmath.sqrt(2)
+        H = lambda g: -g * mpmath.log(g) - (1 - g) * mpmath.log(1 - g)
+        gap = lambda g: (((1 + g) * mpmath.log(s2) - g * mpmath.log(g) + 1 + g - s2) / 2 - H(g)
+                         - ((1 - g) * mpmath.log(2 - s2) + g * mpmath.log(g) - 1 - g + s2) / 2)
+        g_star = mpmath.findroot(lambda g: mpmath.diff(gap, g), mpmath.mpf("0.1"))
+        gap_min = mpmath.log(2) / 2 + 2 - s2 - mpmath.sqrt(2 * s2 - 2)
+        assert abs(g_star - (1 - mpmath.sqrt(2 * s2 - 2))) < mpmath.mpf(10) ** -30
+        assert abs(gap(g_star) - gap_min) < mpmath.mpf(10) ** -38
+        assert float(g_star) == pytest.approx(0.0898202788755453)
+        assert float(gap_min) == pytest.approx(0.0221803067824229)
+        grid = ([i / 100_000 for i in range(1, 100_000)] + [10.0**-x for x in range(5, 320, 5)]
+                + [1.0 - 10.0**-x for x in range(5, 16)])
+        gaps = [psi_max(1.0 + L1_THRESHOLD, g) - psi_min(1.0 - L1_THRESHOLD, g) for g in grid]
+        assert min(gaps) >= float(gap_min) - 1e-15
 
     @pytest.mark.parametrize("family", ["BT", "BCT"])
     @pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-9])

@@ -171,6 +171,15 @@ class TestCoveringBound:
         expected_inter = math.comb(12, 3) * math.exp(-plan.u / plan.r)
         assert cb.intermediate == pytest.approx(expected_inter, rel=1e-10)
 
+    def test_intermediate_clamps_at_one_where_it_would_overflow(self):
+        # At u = 0 the union bound is C(N, k): e^1382.27 at N = 2000, k = 1000,
+        # beyond the double range.  As a probability bound it reads 1.0; the
+        # log stays unclamped.
+        for N, k, m in ((2000, 1000, 1999), (5, 2, 2)):
+            cb = covering_bound(CoveringPlan(N=N, k=k, m=m, u=0))
+            assert cb.log_intermediate == pytest.approx(math.log(math.comb(N, k)), rel=1e-12)
+            assert cb.intermediate == 1.0
+
     def test_monotone_decreasing_in_N(self):
         b1 = covering_bound(CoveringPlan(N=20, k=4, m=8, seed=0)).log_envelope
         b2 = covering_bound(CoveringPlan(N=40, k=8, m=16, seed=0)).log_envelope
